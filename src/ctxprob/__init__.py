@@ -38,10 +38,7 @@ from .amplitudes import (
     wave_from_analysis,
 )
 from .simulation import (
-    CONTEXT_LABELS,
     GENERATOR_NAME,
-    CountRow,
-    CountTable,
     DirectScenario,
     EstimationReport,
     HyperbolicUrnScenario,
@@ -53,11 +50,14 @@ from .simulation import (
     theta_recovery_error,
 )
 from .data import (
+    CONTEXT_LABELS,
     COUNTS_HEADER,
     SCHEMA_VERSION,
     AdditivityCheck,
     ContextSummary,
     CountFile,
+    CountRow,
+    CountTable,
     ParseErrorKind,
     ReportDocument,
     Reproducibility,

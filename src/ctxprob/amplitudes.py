@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 from .calculus import (
     Degenerate,
     Hyperbolic,
+    Probability,
     TransitionAnalysis,
     Trigonometric,
-    _prob,
     reconstruct_probability,
 )
 from .errors import DegenerateRegime, NonFinite
@@ -42,8 +42,13 @@ _PHASE_SLACK = 1e-12
 class ComplexAmplitude:
     """A complex number split into components; modulus is re**2 + im**2."""
 
+    kind: ClassVar[str] = "complex"
     re: float
     im: float
+
+    @property
+    def components(self) -> tuple[float, float]:
+        return (self.re, self.im)
 
     @property
     def squared_modulus(self) -> float:
@@ -61,8 +66,13 @@ class SplitComplexAmplitude:
     :func:`hyper_wave` from admissible inputs have it in [0, 1].
     """
 
+    kind: ClassVar[str] = "split-complex"
     re: float
     hy: float
+
+    @property
+    def components(self) -> tuple[float, float]:
+        return (self.re, self.hy)
 
     @property
     def hyperbolic_modulus(self) -> float:
@@ -77,8 +87,8 @@ def trig_wave(p1_prime, p2_prime, theta: float) -> ComplexAmplitude:
     ``p1' + p2' + 2*sqrt(p1'*p2')*cos(theta)`` identically, with no
     admissibility restriction.
     """
-    a = _prob(p1_prime, "p1_prime")
-    b = _prob(p2_prime, "p2_prime")
+    a = Probability(p1_prime, "p1_prime")
+    b = Probability(p2_prime, "p2_prime")
     t = float(theta)
     if not (-_PHASE_SLACK <= t <= math.pi + _PHASE_SLACK):
         raise ValueError(f"trigonometric phase must lie in [0, pi], got {theta!r}")
@@ -98,8 +108,8 @@ def hyper_wave(p1_prime, p2_prime, theta: float, sign: int) -> SplitComplexAmpli
     and must land in [0, 1]; otherwise :class:`InadmissibleLambda` is raised,
     exactly as in the probability reconstruction with lambda = sign*cosh(theta).
     """
-    a = _prob(p1_prime, "p1_prime")
-    b = _prob(p2_prime, "p2_prime")
+    a = Probability(p1_prime, "p1_prime")
+    b = Probability(p2_prime, "p2_prime")
     t = float(theta)
     if not (t >= 0.0 and math.isfinite(t)):
         raise NonFinite(f"hyperbolic phase must be finite and >= 0, got {theta!r}")

@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import InitVar, dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import ClassVar, NamedTuple, Sequence, Union
 
 from .errors import (
     AdditivityViolation,
@@ -90,15 +90,16 @@ class Probability(float):
 
     Values outside the interval are rejected, except for round-off
     excursions within ``ROUND_OFF`` (1e-12) of an endpoint, which are
-    clipped to that endpoint.
+    clipped to that endpoint.  ``name`` identifies the value in the error
+    message, e.g. ``"p1_prime"`` or a command-line flag.
     """
 
     ROUND_OFF = 1e-12
 
-    def __new__(cls, value: float) -> "Probability":
+    def __new__(cls, value: float, name: str = "probability") -> "Probability":
         x = float(value)
         if not math.isfinite(x) or x < -cls.ROUND_OFF or x > 1.0 + cls.ROUND_OFF:
-            raise InvalidProbability(f"probability must lie in [0, 1], got {value!r}")
+            raise InvalidProbability(f"{name} must lie in [0, 1], got {value!r}")
         return super().__new__(cls, min(max(x, 0.0), 1.0))
 
     @property
@@ -107,16 +108,6 @@ class Probability(float):
 
     def __repr__(self) -> str:
         return f"Probability({float(self)!r})"
-
-
-def _prob(value, name: str) -> float:
-    """Validate ``value`` as a probability and return it as a plain float."""
-    try:
-        return float(Probability(value))
-    except InvalidProbability:
-        raise InvalidProbability(
-            f"{name} must lie in [0, 1], got {value!r}"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -168,6 +159,7 @@ class DegenerateReason(enum.Enum):
 class Trigonometric:
     """``|lambda| <= 1``: the coefficient is cos(theta), theta in [0, pi]."""
 
+    kind: ClassVar[str] = "trigonometric"
     theta: float
 
     def __post_init__(self) -> None:
@@ -183,6 +175,7 @@ class Hyperbolic:
     the trigonometric branch, so it is rejected here.
     """
 
+    kind: ClassVar[str] = "hyperbolic"
     sign: int
     theta: float
 
@@ -197,6 +190,7 @@ class Hyperbolic:
 class Degenerate:
     """lambda is undefined (zero reference probability); only delta is meaningful."""
 
+    kind: ClassVar[str] = "degenerate"
     reason: DegenerateReason
 
 
@@ -230,7 +224,7 @@ class TransitionAnalysis:
 class CorrespondencePoint(NamedTuple):
     epsilon: float
     delta: float
-    lam: float
+    lam: float | None
 
 
 def delta_componentwise(p1, p2, p1_prime, p2_prime) -> float:
@@ -238,10 +232,10 @@ def delta_componentwise(p1, p2, p1_prime, p2_prime) -> float:
 
     Returns ``(p1 - p1_prime) + (p2 - p2_prime)``, always in [-2, 2].
     """
-    a1 = _prob(p1, "p1")
-    a2 = _prob(p2, "p2")
-    b1 = _prob(p1_prime, "p1_prime")
-    b2 = _prob(p2_prime, "p2_prime")
+    a1 = Probability(p1, "p1")
+    a2 = Probability(p2, "p2")
+    b1 = Probability(p1_prime, "p1_prime")
+    b2 = Probability(p2_prime, "p2_prime")
     return (a1 - b1) + (a2 - b2)
 
 
@@ -251,7 +245,22 @@ def delta_from_reference(p_s, p1_prime, p2_prime) -> float:
     Returns ``p_s - p1_prime - p2_prime``; agrees with
     :func:`delta_componentwise` whenever ``p_s`` equals ``p1 + p2``.
     """
-    return _prob(p_s, "p_s") - _prob(p1_prime, "p1_prime") - _prob(p2_prime, "p2_prime")
+    p_s = Probability(p_s, "p_s")
+    return p_s - Probability(p1_prime, "p1_prime") - Probability(p2_prime, "p2_prime")
+
+
+def _denominator(a: float, b: float, undefined: str = "lambda") -> float:
+    """Return ``2*sqrt(a*b)``, the normalizer of lambda for the pair (a, b).
+
+    A zero value (a zero probability or an underflowing product) raises
+    :class:`DegenerateDenominator`, naming what is ``undefined``.
+    """
+    denom = 2.0 * math.sqrt(a * b)
+    if denom == 0.0:
+        raise DegenerateDenominator(
+            f"{undefined} is undefined: the product of reference probabilities is numerically zero"
+        )
+    return denom
 
 
 def lambda_coefficient(delta: float, p1_prime, p2_prime) -> float:
@@ -263,15 +272,7 @@ def lambda_coefficient(delta: float, p1_prime, p2_prime) -> float:
     d = float(delta)
     if not math.isfinite(d):
         raise NonFinite(f"delta must be finite, got {delta!r}")
-    a = _prob(p1_prime, "p1_prime")
-    b = _prob(p2_prime, "p2_prime")
-    denom = 2.0 * math.sqrt(a * b)
-    if denom == 0.0:
-        # covers zero probabilities and products that underflow to zero
-        raise DegenerateDenominator(
-            "lambda is undefined: the product of reference probabilities is numerically zero"
-        )
-    return d / denom
+    return d / _denominator(Probability(p1_prime, "p1_prime"), Probability(p2_prime, "p2_prime"))
 
 
 def classify(lam: float) -> Regime:
@@ -299,12 +300,15 @@ def reconstruct_probability(p1_prime, p2_prime, lam: float, *, tol: float | None
     """
     if tol is None:
         tol = DEFAULT_TOLERANCES.identity
-    a = _prob(p1_prime, "p1_prime")
-    b = _prob(p2_prime, "p2_prime")
+    a = float(Probability(p1_prime, "p1_prime"))
+    b = float(Probability(p2_prime, "p2_prime"))
     x = float(lam)
     if not math.isfinite(x):
         raise NonFinite(f"lambda must be finite, got {lam!r}")
-    value = a + b + 2.0 * math.sqrt(a * b) * x
+    try:
+        value = a + b + _denominator(a, b) * x
+    except DegenerateDenominator:
+        value = a + b  # a zero reference probability removes the interference term
     if value < -tol or value > 1.0 + tol:
         raise InadmissibleLambda(
             f"lambda={x!r} maps ({a!r}, {b!r}) to {value!r}, outside [0, 1]"
@@ -320,13 +324,9 @@ def lambda_range(p1_prime, p2_prime) -> tuple[float, float]:
     ``lambda_max = (1 - a - b) / (2*sqrt(a*b))``.
     :func:`reconstruct_probability` succeeds exactly on this interval.
     """
-    a = _prob(p1_prime, "p1_prime")
-    b = _prob(p2_prime, "p2_prime")
-    denom = 2.0 * math.sqrt(a * b)
-    if denom == 0.0:
-        raise DegenerateDenominator(
-            "admissible range is undefined: the product of reference probabilities is numerically zero"
-        )
+    a = Probability(p1_prime, "p1_prime")
+    b = Probability(p2_prime, "p2_prime")
+    denom = _denominator(a, b, "admissible range")
     return (-(a + b) / denom, (1.0 - a - b) / denom)
 
 
@@ -337,10 +337,12 @@ def analyze(triple: ContextTriple) -> TransitionAnalysis:
     degeneracy is encoded in the analysis rather than raised, so batch
     processing never aborts.
     """
-    delta = delta_from_reference(triple.p_s, triple.p1_prime, triple.p2_prime)
     a = float(triple.p1_prime)
     b = float(triple.p2_prime)
-    if 2.0 * math.sqrt(a * b) == 0.0:
+    delta = float(triple.p_s) - a - b
+    try:
+        lam = delta / _denominator(a, b)
+    except DegenerateDenominator:
         if a == 0.0 and b == 0.0:
             reason = DegenerateReason.BOTH_PRIMES_ZERO
         elif a == 0.0:
@@ -350,7 +352,6 @@ def analyze(triple: ContextTriple) -> TransitionAnalysis:
         else:
             reason = DegenerateReason.PRODUCT_UNDERFLOW
         return TransitionAnalysis(delta=delta, lam=None, regime=Degenerate(reason))
-    lam = lambda_coefficient(delta, triple.p1_prime, triple.p2_prime)
     return TransitionAnalysis(delta=delta, lam=lam, regime=classify(lam))
 
 
@@ -377,7 +378,9 @@ def correspondence_scan(
     and the transformation reduces to plain addition.
 
     ``base`` must carry ``p1``/``p2``.  Perturbed values must stay inside
-    (0, 1]; violations raise :class:`InvalidPerturbedProbability`.
+    (0, 1]; violations raise :class:`InvalidPerturbedProbability`.  Each
+    point comes from :func:`analyze`, so ``lam`` is None where the perturbed
+    product underflows to zero.
     """
     if base.p1 is None or base.p2 is None:
         raise ValueError("base triple must carry subcontext probabilities p1 and p2")
@@ -394,9 +397,6 @@ def correspondence_scan(
                 raise InvalidPerturbedProbability(
                     f"perturbed {name} = {q!r} at eps={e!r} leaves (0, 1]"
                 )
-        q1 = min(q1, 1.0)
-        q2 = min(q2, 1.0)
-        delta = float(base.p_s) - q1 - q2
-        lam = delta / (2.0 * math.sqrt(q1 * q2))
-        points.append(CorrespondencePoint(epsilon=e, delta=delta, lam=lam))
+        analysis = analyze(ContextTriple(base.p_s, q1, q2))
+        points.append(CorrespondencePoint(epsilon=e, delta=analysis.delta, lam=analysis.lam))
     return points

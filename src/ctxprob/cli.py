@@ -20,14 +20,13 @@ import sys
 
 import numpy as np
 
-from .amplitudes import ComplexAmplitude, wave_from_analysis
+from .amplitudes import wave_from_analysis
 from .calculus import (
     ContextTriple,
     Degenerate,
     Hyperbolic,
     Probability,
     TransitionAnalysis,
-    Trigonometric,
     analyze,
     classify,
     lambda_range,
@@ -37,6 +36,7 @@ from .data import (
     SCHEMA_VERSION,
     AdditivityCheck,
     ContextSummary,
+    CountTable,
     Reproducibility,
     ReportDocument,
     WaveSummary,
@@ -58,11 +58,10 @@ from .errors import (
 )
 from .simulation import (
     GENERATOR_NAME,
-    CountTable,
-    DirectScenario,
     EstimationReport,
     HyperbolicUrnScenario,
     TwoSlitScenario,
+    _check_seed,
     estimate,
     sample_counts,
     scenario_truth,
@@ -155,17 +154,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _prob_flag(value: float, flag: str) -> Probability:
-    try:
-        return Probability(value)
-    except InvalidProbability:
-        raise InvalidProbability(f"{flag} must lie in [0, 1], got {value!r}") from None
-
-
 def _check_seed_flag(seed: int) -> int:
-    if seed < 0 or seed >= 2**64:
-        raise _UsageError(f"--seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
+    try:
+        return _check_seed(seed)
+    except ValueError:
+        raise _UsageError(f"--seed must be a 64-bit unsigned integer, got {seed}") from None
+
+
+def _flag_triple(args) -> ContextTriple:
+    return ContextTriple(
+        Probability(args.p_s, "--p-s"),
+        Probability(args.p1p, "--p1p"),
+        Probability(args.p2p, "--p2p"),
+        None if args.p1 is None else Probability(args.p1, "--p1"),
+        None if args.p2 is None else Probability(args.p2, "--p2"),
+    )
 
 
 def _read_input(path: str) -> bytes:
@@ -183,21 +186,11 @@ def _write_output(path: str, data: bytes) -> None:
         write_bytes_atomic(path, data)
 
 
-def _regime_kind(regime) -> str:
-    if isinstance(regime, Trigonometric):
-        return "trigonometric"
-    if isinstance(regime, Hyperbolic):
-        return "hyperbolic"
-    return "degenerate"
-
-
 def _wave_summary(p1_prime, p2_prime, analysis: TransitionAnalysis) -> WaveSummary | None:
     if isinstance(analysis.regime, Degenerate):
         return None
     wave = wave_from_analysis(p1_prime, p2_prime, analysis)
-    if isinstance(wave, ComplexAmplitude):
-        return WaveSummary(kind="complex", components=(wave.re, wave.im))
-    return WaveSummary(kind="split-complex", components=(wave.re, wave.hy))
+    return WaveSummary(wave.kind, wave.components)
 
 
 def _counts_document(
@@ -276,13 +269,7 @@ def _cmd_analyze(args) -> int:
         )
         doc = _counts_document(counts, report, additivity_check(counts))
     else:
-        triple = ContextTriple(
-            _prob_flag(args.p_s, "--p-s"),
-            _prob_flag(args.p1p, "--p1p"),
-            _prob_flag(args.p2p, "--p2p"),
-            None if args.p1 is None else _prob_flag(args.p1, "--p1"),
-            None if args.p2 is None else _prob_flag(args.p2, "--p2"),
-        )
+        triple = _flag_triple(args)
         doc = _direct_document(triple, analyze(triple), seed)
     _write_output(args.output, write_report(doc))
     return 0
@@ -300,7 +287,7 @@ def _truth_line(truth: ContextTriple) -> str:
     analysis = analyze(truth)
     parts.append(f"delta={_g17(analysis.delta)}")
     regime = analysis.regime
-    parts.append(f"regime={_regime_kind(regime)}")
+    parts.append(f"regime={regime.kind}")
     if analysis.lam is not None:
         parts.append(f"lambda={_g17(analysis.lam)}")
         parts.append(f"theta={_g17(regime.theta)}")
@@ -314,28 +301,22 @@ def _cmd_simulate(args) -> int:
         raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     seed = _check_seed_flag(args.seed)
     if args.scenario == "two-slit":
-        p1 = _prob_flag(args.p1, "--p1")
-        p2 = _prob_flag(args.p2, "--p2")
+        p1 = Probability(args.p1, "--p1")
+        p2 = Probability(args.p2, "--p2")
         scenario = TwoSlitScenario(
             a1_modulus=math.sqrt(p1), a2_modulus=math.sqrt(p2), phase=args.theta
         )
     elif args.scenario == "hyperbolic-urn":
         scenario = HyperbolicUrnScenario(
-            p1=_prob_flag(args.p1, "--p1"),
-            p2=_prob_flag(args.p2, "--p2"),
-            p1_prime=_prob_flag(args.p1p, "--p1p"),
-            p2_prime=_prob_flag(args.p2p, "--p2p"),
+            p1=Probability(args.p1, "--p1"),
+            p2=Probability(args.p2, "--p2"),
+            p1_prime=Probability(args.p1p, "--p1p"),
+            p2_prime=Probability(args.p2p, "--p2p"),
         )
     else:
         if (args.p1 is None) != (args.p2 is None):
             raise _UsageError("--p1 and --p2 must be given together")
-        scenario = DirectScenario(
-            p_s=_prob_flag(args.p_s, "--p-s"),
-            p1_prime=_prob_flag(args.p1p, "--p1p"),
-            p2_prime=_prob_flag(args.p2p, "--p2p"),
-            p1=None if args.p1 is None else _prob_flag(args.p1, "--p1"),
-            p2=None if args.p2 is None else _prob_flag(args.p2, "--p2"),
-        )
+        scenario = _flag_triple(args)
     table = sample_counts(scenario, args.trials, seed)
     print(_truth_line(scenario_truth(scenario)), file=sys.stderr)
     _write_output(args.output, write_counts(table))
@@ -350,8 +331,8 @@ def _cmd_sweep(args) -> int:
             f"--lambda-min must be strictly below --lambda-max, "
             f"got [{args.lambda_min}, {args.lambda_max}]"
         )
-    a = _prob_flag(args.p1p, "--p1p")
-    b = _prob_flag(args.p2p, "--p2p")
+    a = Probability(args.p1p, "--p1p")
+    b = Probability(args.p2p, "--p2p")
     lo, hi = lambda_range(a, b)
     slack = 1e-12
     if args.lambda_min < lo - slack or args.lambda_max > hi + slack:
@@ -364,21 +345,19 @@ def _cmd_sweep(args) -> int:
         lam = float(lam)
         regime = classify(lam)
         p_s = reconstruct_probability(a, b, lam)
-        lines.append(
-            f"{_g17(lam)},{_g17(regime.theta)},{_regime_kind(regime)},{_g17(p_s)}"
-        )
+        lines.append(f"{_g17(lam)},{_g17(regime.theta)},{regime.kind},{_g17(p_s)}")
     _write_output(args.output, ("\n".join(lines) + "\n").encode("utf-8"))
     return 0
 
 
 def _cmd_range(args) -> int:
-    a = _prob_flag(args.p1p, "--p1p")
-    b = _prob_flag(args.p2p, "--p2p")
+    a = Probability(args.p1p, "--p1p")
+    b = Probability(args.p2p, "--p2p")
     lo, hi = lambda_range(a, b)
     line = (
         f"lambda_min={_g17(lo)} lambda_max={_g17(hi)} "
-        f"regime_at_min={_regime_kind(classify(lo))} "
-        f"regime_at_max={_regime_kind(classify(hi))}"
+        f"regime_at_min={classify(lo).kind} "
+        f"regime_at_max={classify(hi).kind}"
     )
     print(line)
     return 0

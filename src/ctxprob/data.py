@@ -1,10 +1,14 @@
-"""Count-file ingestion and canonical report serialization.
+"""Count model, count-file ingestion and canonical report serialization.
+
+:class:`CountRow` and :class:`CountTable` (the per-context counts that
+sampling produces and estimation consumes) live here with their file format.
 
 Count files are CSV with the exact header ``context,successes,trials``.
 Context labels are S, S1, S2, S1p, S2p; values are non-negative integers
-with successes <= trials and trials >= 1; rows may appear in any order but
-labels must be unique and S, S1p, S2p must be present.  UTF-8 with LF or
-CRLF line endings; blank lines and lines starting with ``#`` are ignored.
+below 2**63 (at most 19 digits) with successes <= trials and trials >= 1;
+rows may appear in any order but labels must be unique and S, S1p, S2p
+must be present.  UTF-8 with LF or CRLF line endings; blank lines and lines
+starting with ``#`` are ignored.
 
 Reports serialize to a canonical JSON document: fixed key order, real
 numbers rendered with 17 significant digits (enough to round-trip doubles
@@ -22,11 +26,14 @@ import re
 import tempfile
 from dataclasses import dataclass
 
+from .amplitudes import ComplexAmplitude, SplitComplexAmplitude
 from .calculus import Degenerate, DegenerateReason, Hyperbolic, Regime, Trigonometric
-from .errors import DegenerateVariance, ParseError
-from .simulation import CONTEXT_LABELS, CountRow, CountTable
+from .errors import DegenerateVariance, ParseError, ZeroTrials
 
 __all__ = [
+    "CONTEXT_LABELS",
+    "CountRow",
+    "CountTable",
     "SCHEMA_VERSION",
     "COUNTS_HEADER",
     "ParseErrorKind",
@@ -44,9 +51,79 @@ __all__ = [
     "write_bytes_atomic",
 ]
 
+CONTEXT_LABELS = ("S", "S1", "S2", "S1p", "S2p")
+_REQUIRED_LABELS = ("S", "S1p", "S2p")
+
 SCHEMA_VERSION = "1"
 COUNTS_HEADER = "context,successes,trials"
 _INTEGER = re.compile(r"[0-9]+")
+# Counts feed numpy's 64-bit samplers; 2**63 - 1 has 19 digits, and capping
+# the length first keeps int() clear of its digit limit.
+_MAX_DIGITS = 19
+_INTEGER_BOUND = 2**63
+
+
+@dataclass(frozen=True)
+class CountRow:
+    """Outcome counts of one context's run: successes out of trials."""
+
+    label: str
+    successes: int
+    trials: int
+
+    def __post_init__(self) -> None:
+        if self.label not in CONTEXT_LABELS:
+            raise ValueError(f"unknown context label {self.label!r}")
+        if int(self.trials) != self.trials or self.trials < 1:
+            raise ZeroTrials(f"{self.label}: trials must be a positive integer, got {self.trials!r}")
+        if int(self.successes) != self.successes or not (0 <= self.successes <= self.trials):
+            raise ValueError(
+                f"{self.label}: successes must lie in [0, trials], got {self.successes!r}"
+            )
+        object.__setattr__(self, "successes", int(self.successes))
+        object.__setattr__(self, "trials", int(self.trials))
+
+    @property
+    def proportion(self) -> float:
+        return self.successes / self.trials
+
+
+@dataclass(frozen=True)
+class CountTable:
+    """Per-context counts of one experiment; rows are kept in canonical order.
+
+    Labels must be unique and include at least S, S1p and S2p.
+    """
+
+    rows: tuple[CountRow, ...]
+
+    def __post_init__(self) -> None:
+        rows = tuple(self.rows)
+        labels = [r.label for r in rows]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate context labels in {labels!r}")
+        missing = [label for label in _REQUIRED_LABELS if label not in labels]
+        if missing:
+            raise ValueError(f"missing required context rows: {missing!r}")
+        object.__setattr__(
+            self, "rows", tuple(sorted(rows, key=lambda r: CONTEXT_LABELS.index(r.label)))
+        )
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(r.label for r in self.rows)
+
+    def row(self, label: str) -> CountRow | None:
+        for r in self.rows:
+            if r.label == label:
+                return r
+        return None
+
+    def proportion(self, label: str) -> float:
+        r = self.row(label)
+        if r is None:
+            raise KeyError(label)
+        return r.proportion
 
 
 class ParseErrorKind(enum.Enum):
@@ -56,6 +133,7 @@ class ParseErrorKind(enum.Enum):
     BAD_HEADER = "bad-header"
     MALFORMED_ROW = "malformed-row"
     BAD_INTEGER = "bad-integer"
+    INTEGER_OUT_OF_RANGE = "integer-out-of-range"
     UNKNOWN_LABEL = "unknown-label"
     DUPLICATE_LABEL = "duplicate-label"
     SUCCESSES_EXCEED_TRIALS = "successes-exceed-trials"
@@ -140,6 +218,12 @@ def parse_counts(text: bytes | str, source: str = "<memory>") -> CountFile:
                     line=lineno,
                     kind=ParseErrorKind.BAD_INTEGER,
                 )
+            if len(value) > _MAX_DIGITS or int(value) >= _INTEGER_BOUND:
+                raise ParseError(
+                    f"{source}: {name} must be below 2**63 with at most {_MAX_DIGITS} digits",
+                    line=lineno,
+                    kind=ParseErrorKind.INTEGER_OUT_OF_RANGE,
+                )
         successes = int(successes_text)
         trials = int(trials_text)
         if trials == 0:
@@ -162,7 +246,7 @@ def parse_counts(text: bytes | str, source: str = "<memory>") -> CountFile:
             line=last_line,
             kind=ParseErrorKind.BAD_HEADER,
         )
-    missing = [label for label in ("S", "S1p", "S2p") if label not in line_numbers]
+    missing = [label for label in _REQUIRED_LABELS if label not in line_numbers]
     if missing:
         raise ParseError(
             f"{source}: missing required context rows {missing!r}",
@@ -219,8 +303,9 @@ class WaveSummary:
     components: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if self.kind not in ("complex", "split-complex"):
-            raise ValueError(f"wave kind must be 'complex' or 'split-complex', got {self.kind!r}")
+        kinds = (ComplexAmplitude.kind, SplitComplexAmplitude.kind)
+        if self.kind not in kinds:
+            raise ValueError(f"wave kind must be {kinds[0]!r} or {kinds[1]!r}, got {self.kind!r}")
         object.__setattr__(
             self, "components", (float(self.components[0]), float(self.components[1]))
         )
@@ -256,9 +341,9 @@ class ReportDocument:
         unknown = set(self.inputs) - set(CONTEXT_LABELS)
         if unknown:
             raise ValueError(f"unknown context labels {sorted(unknown)!r}")
-        missing = {"S", "S1p", "S2p"} - set(self.inputs)
+        missing = [label for label in _REQUIRED_LABELS if label not in self.inputs]
         if missing:
-            raise ValueError(f"missing required context summaries {sorted(missing)!r}")
+            raise ValueError(f"missing required context summaries {missing!r}")
         ordered = {
             label: self.inputs[label] for label in CONTEXT_LABELS if label in self.inputs
         }
@@ -299,11 +384,11 @@ def _render(node, indent: int) -> str:
 
 def _regime_tree(regime: Regime) -> dict:
     if isinstance(regime, Trigonometric):
-        return {"kind": "trigonometric", "theta": float(regime.theta)}
+        return {"kind": regime.kind, "theta": float(regime.theta)}
     if isinstance(regime, Hyperbolic):
-        return {"kind": "hyperbolic", "sign": int(regime.sign), "theta": float(regime.theta)}
+        return {"kind": regime.kind, "sign": int(regime.sign), "theta": float(regime.theta)}
     if isinstance(regime, Degenerate):
-        return {"kind": "degenerate", "reason": regime.reason.value}
+        return {"kind": regime.kind, "reason": regime.reason.value}
     raise TypeError(f"unknown regime type: {regime!r}")
 
 
@@ -395,14 +480,14 @@ def _parse_regime(node) -> Regime:
     if not isinstance(node, dict) or "kind" not in node:
         raise _bad_document(f"regime must be an object with a kind, got {node!r}")
     kind = node["kind"]
-    if kind == "trigonometric":
+    if kind == Trigonometric.kind:
         return Trigonometric(theta=_req_float(node.get("theta"), "regime.theta"))
-    if kind == "hyperbolic":
+    if kind == Hyperbolic.kind:
         sign = node.get("sign")
         if sign not in (-1, 1):
             raise _bad_document(f"regime.sign must be +1 or -1, got {sign!r}")
         return Hyperbolic(sign=sign, theta=_req_float(node.get("theta"), "regime.theta"))
-    if kind == "degenerate":
+    if kind == Degenerate.kind:
         try:
             reason = DegenerateReason(node.get("reason"))
         except ValueError:

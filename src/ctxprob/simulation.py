@@ -2,7 +2,8 @@
 
 Three scenario families generate ground truth:
 
-* :class:`DirectScenario` — explicit probabilities for every context;
+* :class:`DirectScenario` — explicit probabilities for every context; it is
+  :class:`~ctxprob.calculus.ContextTriple` itself, validated once;
 * :class:`TwoSlitScenario` — two-path interference with amplitudes ``m1`` and
   ``m2 * e^{i*phase}``: per-path probabilities ``m1**2`` and ``m2**2``,
   combined probability ``|m1 + m2*e^{i*phase}|**2``;
@@ -17,6 +18,10 @@ adding a context never shifts another context's draws.  Stream ids 0-4 are
 the context sampling streams in :data:`CONTEXT_LABELS` order; bootstrap
 resampling uses ids 16-20 so that reusing one seed across the pipeline never
 aliases streams.
+
+The count model (:data:`CONTEXT_LABELS`, :class:`CountRow`,
+:class:`CountTable`) lives in :mod:`ctxprob.data`, the I/O layer; it is
+re-exported here because sampling produces and estimation consumes it.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from .calculus import (
     Trigonometric,
     analyze,
 )
-from .errors import InvalidScenario, RegimeMismatch, ZeroTrials
+from .data import CONTEXT_LABELS, CountRow, CountTable
+from .errors import InvalidScenario, RegimeMismatch
 
 __all__ = [
     "CONTEXT_LABELS",
@@ -54,7 +60,6 @@ __all__ = [
     "theta_recovery_error",
 ]
 
-CONTEXT_LABELS = ("S", "S1", "S2", "S1p", "S2p")
 _STREAM_ID = {label: i for i, label in enumerate(CONTEXT_LABELS)}
 _BOOTSTRAP_STREAM_BASE = 16
 _SAMPLE_CHUNK = 1 << 22
@@ -73,86 +78,7 @@ def _check_seed(seed) -> int:
     return s
 
 
-@dataclass(frozen=True)
-class CountRow:
-    """Outcome counts of one context's run: successes out of trials."""
-
-    label: str
-    successes: int
-    trials: int
-
-    def __post_init__(self) -> None:
-        if self.label not in CONTEXT_LABELS:
-            raise ValueError(f"unknown context label {self.label!r}")
-        if int(self.trials) != self.trials or self.trials < 1:
-            raise ZeroTrials(f"{self.label}: trials must be a positive integer, got {self.trials!r}")
-        if int(self.successes) != self.successes or not (0 <= self.successes <= self.trials):
-            raise ValueError(
-                f"{self.label}: successes must lie in [0, trials], got {self.successes!r}"
-            )
-        object.__setattr__(self, "successes", int(self.successes))
-        object.__setattr__(self, "trials", int(self.trials))
-
-    @property
-    def proportion(self) -> float:
-        return self.successes / self.trials
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Per-context counts of one experiment; rows are kept in canonical order.
-
-    Labels must be unique and include at least S, S1p and S2p.
-    """
-
-    rows: tuple[CountRow, ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(self.rows)
-        labels = [r.label for r in rows]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate context labels in {labels!r}")
-        missing = {"S", "S1p", "S2p"} - set(labels)
-        if missing:
-            raise ValueError(f"missing required context rows: {sorted(missing)!r}")
-        object.__setattr__(
-            self, "rows", tuple(sorted(rows, key=lambda r: _STREAM_ID[r.label]))
-        )
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(r.label for r in self.rows)
-
-    def row(self, label: str) -> CountRow | None:
-        for r in self.rows:
-            if r.label == label:
-                return r
-        return None
-
-    def proportion(self, label: str) -> float:
-        r = self.row(label)
-        if r is None:
-            raise KeyError(label)
-        return r.proportion
-
-
-@dataclass(frozen=True)
-class DirectScenario:
-    """Explicitly specified context probabilities."""
-
-    p_s: Probability
-    p1_prime: Probability
-    p2_prime: Probability
-    p1: Probability | None = None
-    p2: Probability | None = None
-
-    def __post_init__(self) -> None:
-        triple = ContextTriple(self.p_s, self.p1_prime, self.p2_prime, self.p1, self.p2)
-        object.__setattr__(self, "p_s", triple.p_s)
-        object.__setattr__(self, "p1_prime", triple.p1_prime)
-        object.__setattr__(self, "p2_prime", triple.p2_prime)
-        object.__setattr__(self, "p1", triple.p1)
-        object.__setattr__(self, "p2", triple.p2)
+DirectScenario = ContextTriple
 
 
 @dataclass(frozen=True)
@@ -192,7 +118,8 @@ class HyperbolicUrnScenario:
 
     The combined probability is p1 + p2 (which must not exceed 1), and the
     parameters must actually produce a hyperbolic transition: the
-    coefficient computed from them must satisfy |lambda| > 1.
+    coefficient :func:`~ctxprob.calculus.analyze` computes from them must
+    satisfy |lambda| > 1.
     """
 
     p1: Probability
@@ -206,11 +133,9 @@ class HyperbolicUrnScenario:
         p_s = float(self.p1) + float(self.p2)
         if p_s > 1.0 + Probability.ROUND_OFF:
             raise InvalidScenario(f"p1 + p2 = {p_s!r} exceeds 1")
-        a = float(self.p1_prime)
-        b = float(self.p2_prime)
-        if a == 0.0 or b == 0.0:
+        lam = analyze(ContextTriple(p_s, self.p1_prime, self.p2_prime)).lam
+        if lam is None:
             raise InvalidScenario("post-transition probabilities must be positive")
-        lam = (min(p_s, 1.0) - a - b) / (2.0 * math.sqrt(a * b))
         if abs(lam) <= 1.0:
             raise InvalidScenario(
                 f"parameters give |lambda| = {abs(lam)!r} <= 1: not a hyperbolic transition"
@@ -244,17 +169,15 @@ class EstimationReport:
 
 def scenario_truth(scenario: Scenario) -> ContextTriple:
     """Exact context probabilities implied by a scenario."""
-    if isinstance(scenario, DirectScenario):
-        return ContextTriple(
-            scenario.p_s, scenario.p1_prime, scenario.p2_prime, scenario.p1, scenario.p2
-        )
+    if isinstance(scenario, ContextTriple):
+        return scenario
     if isinstance(scenario, TwoSlitScenario):
         m1 = float(scenario.a1_modulus)
         m2 = float(scenario.a2_modulus)
         p_s = m1 * m1 + m2 * m2 + 2.0 * m1 * m2 * math.cos(float(scenario.phase))
-        return ContextTriple(Probability(p_s), Probability(m1 * m1), Probability(m2 * m2))
+        return ContextTriple(p_s, m1 * m1, m2 * m2)
     if isinstance(scenario, HyperbolicUrnScenario):
-        p_s = Probability(float(scenario.p1) + float(scenario.p2))
+        p_s = float(scenario.p1) + float(scenario.p2)
         return ContextTriple(p_s, scenario.p1_prime, scenario.p2_prime, scenario.p1, scenario.p2)
     raise TypeError(f"unknown scenario type: {scenario!r}")
 
@@ -300,14 +223,6 @@ def sample_counts(scenario: Scenario, trials_per_context: int, seed: int = 0) ->
     return CountTable(tuple(rows))
 
 
-def _regime_code(regime) -> int:
-    if isinstance(regime, Trigonometric):
-        return 0
-    if isinstance(regime, Hyperbolic):
-        return 1 if regime.sign > 0 else 2
-    return 3
-
-
 def estimate(
     counts: CountTable,
     replicates: int = 1000,
@@ -332,16 +247,9 @@ def estimate(
     if not (0.0 < c < 1.0):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
     s = _check_seed(seed)
-    for row in counts.rows:
-        if row.trials < 1:
-            raise ZeroTrials(f"{row.label}: zero trials")
 
     p_hat = {row.label: row.proportion for row in counts.rows}
-    point = analyze(
-        ContextTriple(
-            Probability(p_hat["S"]), Probability(p_hat["S1p"]), Probability(p_hat["S2p"])
-        )
-    )
+    point = analyze(ContextTriple(p_hat["S"], p_hat["S1p"], p_hat["S2p"]))
     if r == 0:
         return EstimationReport(
             point=point,
@@ -371,11 +279,14 @@ def estimate(
     ok = denom > 0.0
     lam_b[ok] = delta_b[ok] / denom[ok]
 
-    code_b = np.where(
-        np.isnan(lam_b), 3, np.where(np.abs(lam_b) <= 1.0, 0, np.where(lam_b > 0.0, 1, 2))
-    )
-    point_code = _regime_code(point.regime)
-    regime_stability = float(np.mean(code_b == point_code))
+    regime = point.regime
+    if isinstance(regime, Trigonometric):
+        same_regime = np.abs(lam_b) <= 1.0
+    elif isinstance(regime, Hyperbolic):
+        same_regime = regime.sign * lam_b > 1.0
+    else:
+        same_regime = np.isnan(lam_b)
+    regime_stability = float(np.mean(same_regime))
 
     lambda_interval = None
     if point.lam is not None and bool(ok.any()):
@@ -384,9 +295,9 @@ def estimate(
 
     theta_std = None
     if point.lam is not None:
-        match = lam_b[code_b == point_code]
+        match = lam_b[same_regime]
         if match.size >= 2:
-            if point_code == 0:
+            if isinstance(regime, Trigonometric):
                 thetas = np.arccos(np.clip(match, -1.0, 1.0))
             else:
                 thetas = np.arccosh(np.maximum(np.abs(match), 1.0))
@@ -417,7 +328,6 @@ def theta_recovery_error(
     regime = report.point.regime
     if isinstance(regime, Degenerate):
         raise RegimeMismatch("point regime is degenerate: no phase was estimated")
-    kind = "trigonometric" if isinstance(regime, Trigonometric) else "hyperbolic"
-    if expected_kind is not None and kind != expected_kind:
-        raise RegimeMismatch(f"point regime is {kind}, expected {expected_kind}")
+    if expected_kind is not None and regime.kind != expected_kind:
+        raise RegimeMismatch(f"point regime is {regime.kind}, expected {expected_kind}")
     return abs(regime.theta - float(true_theta))

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -331,6 +332,21 @@ class TestRange:
         code, _, err = run_cli(capsysbinary, "range", "--p1p", "0", "--p2p", "0.25")
         assert code == 3
         assert err.startswith(b"error: inadmissible:")
+
+
+class TestAnalyzeStdinIntegerBounds:
+    @pytest.mark.parametrize(
+        "trials",
+        ["9" * 5000, str(2**63)],
+        ids=["beyond-int-digit-limit", "two-to-the-63"],
+    )
+    def test_out_of_range_count_exits_2(self, capsysbinary, monkeypatch, trials):
+        counts = f"context,successes,trials\nS,1,{trials}\nS1p,1,10\nS2p,1,10\n"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(counts.encode())))
+        code, _, err = run_cli(capsysbinary, "analyze", "-", "--replicates", "10")
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(b"error: parse: ")
 
 
 class TestEntryPoint:

@@ -33,6 +33,7 @@ from .calculus import (
     reconstruct_probability,
 )
 from .data import (
+    _INTEGER_BOUND,
     SCHEMA_VERSION,
     AdditivityCheck,
     ContextSummary,
@@ -41,6 +42,7 @@ from .data import (
     ReportDocument,
     WaveSummary,
     additivity_check,
+    context_probabilities,
     parse_counts,
     write_bytes_atomic,
     write_counts,
@@ -162,6 +164,8 @@ def _check_seed_flag(seed: int) -> int:
 
 
 def _flag_triple(args) -> ContextTriple:
+    if (args.p1 is None) != (args.p2 is None):
+        raise _UsageError("--p1 and --p2 must be given together")
     return ContextTriple(
         Probability(args.p_s, "--p-s"),
         Probability(args.p1p, "--p1p"),
@@ -224,12 +228,7 @@ def _counts_document(
 
 
 def _direct_document(triple: ContextTriple, analysis: TransitionAnalysis, seed: int) -> ReportDocument:
-    inputs = {"S": ContextSummary(p_hat=float(triple.p_s))}
-    if triple.p1 is not None:
-        inputs["S1"] = ContextSummary(p_hat=float(triple.p1))
-        inputs["S2"] = ContextSummary(p_hat=float(triple.p2))
-    inputs["S1p"] = ContextSummary(p_hat=float(triple.p1_prime))
-    inputs["S2p"] = ContextSummary(p_hat=float(triple.p2_prime))
+    inputs = {label: ContextSummary(p_hat=p) for label, p in context_probabilities(triple).items()}
     return ReportDocument(
         schema_version=SCHEMA_VERSION,
         inputs=inputs,
@@ -253,8 +252,6 @@ def _cmd_analyze(args) -> int:
         raise _UsageError("give a counts file or direct probabilities, not both")
     if not file_mode and any(v is None for v in (args.p_s, args.p1p, args.p2p)):
         raise _UsageError("direct mode requires --p-s, --p1p and --p2p")
-    if (args.p1 is None) != (args.p2 is None):
-        raise _UsageError("--p1 and --p2 must be given together")
     if args.replicates < 0:
         raise _UsageError(f"--replicates must be >= 0, got {args.replicates}")
     if not (0.0 < args.confidence < 1.0):
@@ -297,8 +294,8 @@ def _truth_line(truth: ContextTriple) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise _UsageError(f"--trials must be >= 1, got {args.trials}")
+    if not 1 <= args.trials < _INTEGER_BOUND:
+        raise _UsageError(f"--trials must be >= 1 and below 2**63, got {args.trials}")
     seed = _check_seed_flag(args.seed)
     if args.scenario == "two-slit":
         p1 = Probability(args.p1, "--p1")
@@ -314,8 +311,6 @@ def _cmd_simulate(args) -> int:
             p2_prime=Probability(args.p2p, "--p2p"),
         )
     else:
-        if (args.p1 is None) != (args.p2 is None):
-            raise _UsageError("--p1 and --p2 must be given together")
         scenario = _flag_triple(args)
     table = sample_counts(scenario, args.trials, seed)
     print(_truth_line(scenario_truth(scenario)), file=sys.stderr)

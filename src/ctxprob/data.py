@@ -27,11 +27,12 @@ import tempfile
 from dataclasses import dataclass
 
 from .amplitudes import ComplexAmplitude, SplitComplexAmplitude
-from .calculus import Degenerate, DegenerateReason, Hyperbolic, Regime, Trigonometric
+from .calculus import ContextTriple, Degenerate, DegenerateReason, Hyperbolic, Regime, Trigonometric
 from .errors import DegenerateVariance, ParseError, ZeroTrials
 
 __all__ = [
     "CONTEXT_LABELS",
+    "context_probabilities",
     "CountRow",
     "CountTable",
     "SCHEMA_VERSION",
@@ -53,6 +54,13 @@ __all__ = [
 
 CONTEXT_LABELS = ("S", "S1", "S2", "S1p", "S2p")
 _REQUIRED_LABELS = ("S", "S1p", "S2p")
+
+
+def context_probabilities(triple: ContextTriple) -> dict[str, float]:
+    """Each context's probability in a triple, keyed by label in canonical order."""
+    values = (triple.p_s, triple.p1, triple.p2, triple.p1_prime, triple.p2_prime)
+    return {label: float(p) for label, p in zip(CONTEXT_LABELS, values) if p is not None}
+
 
 SCHEMA_VERSION = "1"
 COUNTS_HEADER = "context,successes,trials"
@@ -594,13 +602,21 @@ def write_counts(table: CountTable) -> bytes:
 
 
 def write_bytes_atomic(path, data: bytes) -> None:
-    """Write a file atomically: temp file in the same directory, then rename."""
+    """Write a file atomically and durably, with the mode a plain ``open`` gives.
+
+    A temp file in the same directory is fsynced, renamed, then the directory fsynced.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ctxprob-")
     try:
         with os.fdopen(fd, "wb") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -608,3 +624,8 @@ def write_bytes_atomic(path, data: bytes) -> None:
         except OSError:
             pass
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)

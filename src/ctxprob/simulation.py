@@ -10,14 +10,14 @@ Three scenario families generate ground truth:
 * :class:`HyperbolicUrnScenario` — a pre-transition pair that stays additive
   while the post-transition pair deviates strongly (``|lambda| > 1``).
 
-Each context is an independent experimental run.  Sampling draws one uniform
-variate per trial from a Philox (4x64) substream keyed by
-``SeedSequence((seed, stream_id))`` and compares it against the context's
-probability, so results are bit-identical across runs and platforms and
-adding a context never shifts another context's draws.  Stream ids 0-4 are
-the context sampling streams in :data:`CONTEXT_LABELS` order; bootstrap
-resampling uses ids 16-20 so that reusing one seed across the pipeline never
-aliases streams.
+Each context is an independent experimental run.  Its successes are one
+``Binomial(trials, p)`` draw, O(1) in ``trials``, from a Philox (4x64)
+substream keyed by ``SeedSequence((seed, stream_id))``, so adding a context
+never shifts another context's draws.  Stream ids 0-4 are the context
+sampling streams in :data:`CONTEXT_LABELS` order; bootstrap resampling uses
+ids 16-20 so that reusing one seed across the pipeline never aliases
+streams.  ``Generator.binomial`` is outside numpy's stream-compatibility
+policy (NEP 19), so a seed's counts are fixed for a given numpy version.
 
 The count model (:data:`CONTEXT_LABELS`, :class:`CountRow`,
 :class:`CountTable`) lives in :mod:`ctxprob.data`, the I/O layer; it is
@@ -41,7 +41,7 @@ from .calculus import (
     Trigonometric,
     analyze,
 )
-from .data import CONTEXT_LABELS, CountRow, CountTable
+from .data import _INTEGER_BOUND, CONTEXT_LABELS, CountRow, CountTable, context_probabilities
 from .errors import InvalidScenario, RegimeMismatch
 
 __all__ = [
@@ -62,9 +62,8 @@ __all__ = [
 
 _STREAM_ID = {label: i for i, label in enumerate(CONTEXT_LABELS)}
 _BOOTSTRAP_STREAM_BASE = 16
-_SAMPLE_CHUNK = 1 << 22
 
-GENERATOR_NAME = "philox4x64-seedseq-v1"
+GENERATOR_NAME = "philox4x64-seedseq-v2"
 
 
 def _context_rng(seed: int, stream: int) -> np.random.Generator:
@@ -106,10 +105,16 @@ class TwoSlitScenario:
             raise InvalidScenario(f"amplitude moduli must be finite and >= 0, got {m1!r}, {m2!r}")
         if not (-self._PHASE_SLACK <= t <= math.pi + self._PHASE_SLACK):
             raise InvalidScenario(f"phase must lie in [0, pi], got {self.phase!r}")
-        p_s = m1 * m1 + m2 * m2 + 2.0 * m1 * m2 * math.cos(t)
+        p_s = self.combined_probability
         for name, p in (("m1**2", m1 * m1), ("m2**2", m2 * m2), ("combined probability", p_s)):
             if p > 1.0 + Probability.ROUND_OFF:
                 raise InvalidScenario(f"{name} = {p!r} exceeds 1")
+
+    @property
+    def combined_probability(self) -> float:
+        """|m1 + m2*e^{i*phase}|**2 = m1**2 + m2**2 + 2*m1*m2*cos(phase)."""
+        m1, m2 = float(self.a1_modulus), float(self.a2_modulus)
+        return m1 * m1 + m2 * m2 + 2.0 * m1 * m2 * math.cos(float(self.phase))
 
 
 @dataclass(frozen=True)
@@ -174,53 +179,35 @@ def scenario_truth(scenario: Scenario) -> ContextTriple:
     if isinstance(scenario, TwoSlitScenario):
         m1 = float(scenario.a1_modulus)
         m2 = float(scenario.a2_modulus)
-        p_s = m1 * m1 + m2 * m2 + 2.0 * m1 * m2 * math.cos(float(scenario.phase))
-        return ContextTriple(p_s, m1 * m1, m2 * m2)
+        return ContextTriple(scenario.combined_probability, m1 * m1, m2 * m2)
     if isinstance(scenario, HyperbolicUrnScenario):
         p_s = float(scenario.p1) + float(scenario.p2)
         return ContextTriple(p_s, scenario.p1_prime, scenario.p2_prime, scenario.p1, scenario.p2)
     raise TypeError(f"unknown scenario type: {scenario!r}")
 
 
-def _bernoulli_successes(rng: np.random.Generator, trials: int, p: float) -> int:
-    # One uniform draw per trial, thresholded against p; chunked to bound
-    # memory without changing the consumed stream.
-    successes = 0
-    remaining = trials
-    while remaining > 0:
-        k = min(remaining, _SAMPLE_CHUNK)
-        successes += int(np.count_nonzero(rng.random(k) < p))
-        remaining -= k
-    return successes
-
-
 def sample_counts(scenario: Scenario, trials_per_context: int, seed: int = 0) -> CountTable:
     """Draw finite counts for every context defined by a scenario.
 
-    Each context runs ``trials_per_context`` independent Bernoulli trials at
-    its true probability on its own named substream; identical
-    (scenario, trials, seed) yields an identical table bit-for-bit.
+    Each context's successes are one Binomial(trials_per_context, p) draw on its
+    own substream; ``trials_per_context`` lies in [1, 2**63) like a count file.
     """
     n = int(trials_per_context)
-    if n != trials_per_context or n < 1:
-        raise ValueError(f"trials_per_context must be a positive integer, got {trials_per_context!r}")
+    if n != trials_per_context or not (1 <= n < _INTEGER_BOUND):
+        raise ValueError(
+            f"trials_per_context must be an integer in [1, 2**63), got {trials_per_context!r}"
+        )
     s = _check_seed(seed)
-    truth = scenario_truth(scenario)
-    probs = {
-        "S": float(truth.p_s),
-        "S1p": float(truth.p1_prime),
-        "S2p": float(truth.p2_prime),
-    }
-    if truth.p1 is not None and truth.p2 is not None:
-        probs["S1"] = float(truth.p1)
-        probs["S2"] = float(truth.p2)
-    rows = []
-    for label in CONTEXT_LABELS:
-        if label not in probs:
-            continue
-        rng = _context_rng(s, _STREAM_ID[label])
-        rows.append(CountRow(label, _bernoulli_successes(rng, n, probs[label]), n))
+    rows = [
+        CountRow(label, int(_context_rng(s, _STREAM_ID[label]).binomial(n, p)), n)
+        for label, p in context_probabilities(scenario_truth(scenario)).items()
+    ]
     return CountTable(tuple(rows))
+
+
+def _percentile_interval(values: np.ndarray, levels: tuple[float, float]) -> tuple[float, float]:
+    lo, hi = np.quantile(values, levels)
+    return float(lo), float(hi)
 
 
 def estimate(
@@ -263,15 +250,12 @@ def estimate(
         )
 
     q_lo = (1.0 - c) / 2.0
-    q_hi = 1.0 - q_lo
+    levels = (q_lo, 1.0 - q_lo)
     boot = {}
     for row in counts.rows:
         rng = _context_rng(s, _BOOTSTRAP_STREAM_BASE + _STREAM_ID[row.label])
         boot[row.label] = rng.binomial(row.trials, p_hat[row.label], size=r) / row.trials
-    context_intervals = {
-        label: (float(np.quantile(v, q_lo)), float(np.quantile(v, q_hi)))
-        for label, v in boot.items()
-    }
+    context_intervals = {label: _percentile_interval(v, levels) for label, v in boot.items()}
 
     delta_b = boot["S"] - boot["S1p"] - boot["S2p"]
     denom = 2.0 * np.sqrt(boot["S1p"] * boot["S2p"])
@@ -290,8 +274,7 @@ def estimate(
 
     lambda_interval = None
     if point.lam is not None and bool(ok.any()):
-        valid = lam_b[ok]
-        lambda_interval = (float(np.quantile(valid, q_lo)), float(np.quantile(valid, q_hi)))
+        lambda_interval = _percentile_interval(lam_b[ok], levels)
 
     theta_std = None
     if point.lam is not None:

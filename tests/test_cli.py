@@ -208,6 +208,28 @@ class TestSimulate:
         )
         assert code == 3
 
+    def test_trials_at_count_file_bound(self, capsysbinary, monkeypatch):
+        # 2**63 trials could not be written to a count file; the flag says so.
+        argv = ["simulate", "direct", "--p-s", "0.5", "--p1p", "0.2", "--p2p", "0.2"]
+        code, out, err = run_cli(capsysbinary, *argv, "--trials", str(2**63))
+        assert code == 1 and out == b""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(b"error: usage: --trials")
+        code, counts, _ = run_cli(capsysbinary, *argv, "--trials", str(2**63 - 1))
+        assert code == 0
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(counts)))
+        code, out, err = run_cli(capsysbinary, "analyze", "-", "--replicates", "10")
+        assert code == 0 and err == b""
+        assert json.loads(out)["inputs"]["S"]["trials"] == 2**63 - 1
+
+    def test_direct_p1_without_p2_exits_1(self, capsysbinary):
+        code, _, err = run_cli(
+            capsysbinary,
+            "simulate", "direct", "--p-s", "0.5", "--p1p", "0.2", "--p2p", "0.2", "--p1", "0.3",
+        )
+        assert code == 1
+        assert err == b"error: usage: --p1 and --p2 must be given together\n"
+
     def test_counts_to_stdout(self, capsysbinary):
         code, out, _ = run_cli(
             capsysbinary,

@@ -1,10 +1,13 @@
 import math
+import os
+import stat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxprob.calculus import (
+    ContextTriple,
     Degenerate,
     DegenerateReason,
     Hyperbolic,
@@ -19,6 +22,7 @@ from ctxprob.data import (
     Reproducibility,
     WaveSummary,
     additivity_check,
+    context_probabilities,
     parse_counts,
     parse_report,
     write_bytes_atomic,
@@ -308,6 +312,13 @@ def test_report_round_trip_property(doc):
     assert parse_report(write_report(doc)) == doc
 
 
+def test_context_probabilities_in_canonical_order():
+    five = context_probabilities(ContextTriple(0.9, 0.1, 0.1, 0.4, 0.5))
+    assert list(five.items()) == [("S", 0.9), ("S1", 0.4), ("S2", 0.5), ("S1p", 0.1), ("S2p", 0.1)]
+    three = context_probabilities(ContextTriple(0.5, 0.3, 0.15))
+    assert list(three.items()) == [("S", 0.5), ("S1p", 0.3), ("S2p", 0.15)]
+
+
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):
         target = tmp_path / "report.json"
@@ -317,3 +328,12 @@ class TestAtomicWrite:
         assert target.read_bytes() == b"second\n"
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".ctxprob-")]
         assert leftovers == []
+
+    def test_mode_follows_umask(self, tmp_path):
+        target = tmp_path / "counts.csv"
+        previous = os.umask(0o022)
+        try:
+            write_bytes_atomic(target, b"data\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644

@@ -6,10 +6,15 @@ on standard error) against a digest captured before the calculus, count
 model and regime tags were consolidated.  Any refactor must leave every
 digest unchanged.
 
-The only accepted reason to recapture the ``simulate`` digests (and the
-``analyze`` digests of the files they produce) is a deliberate bump of
-``GENERATOR_NAME``, which changes the random stream on purpose.  Recapture
-with ``python tests/test_golden.py``, which prints the current table.
+The only accepted reason to recapture the ``simulate`` count digests (and
+the ``analyze`` digests, which carry ``generator_name`` and, for simulated
+files, the counts) is a deliberate bump of ``GENERATOR_NAME``, which changes
+the random stream on purpose.  The ``range``, ``sweep`` and ``truth``
+digests never move.  Recapture with ``python tests/test_golden.py``, which
+prints the current table.  They were last recaptured for
+``philox4x64-seedseq-v2``, which draws each context's successes as one
+binomial variate; every ``analyze`` output that does not read simulated
+counts differed from v1 only in ``generator_name``.
 """
 
 import hashlib
@@ -57,28 +62,28 @@ GOLDEN = {
     'range-hyper': '189d0fe66c24f2f5c05b888aa7296e09b6fe0f73d147f2f09ba1234e095a193c',
     'sweep-trig': '7cd289c64d7865edf379317af9ff9bd182f777f806e5adba030fc9941f1b68fc',
     'sweep-cross': 'a91c8fc04dde9e142d9f0a0f6e6de15711421afb73a8e24333f0069b4e5e65f9',
-    'analyze-3': 'acd882603e4dc7fa0942f45abe1069de036820f19b41501e49547df42807516b',
-    'analyze-5': 'becf381954cf2faa9a4e786e17f37e964e80d9739b20d40b70ab7cbca5614bf5',
-    'analyze-degenerate': 'e23494280f973f64fce1a96b6194330885d90d36974744707d10ec4a310e06cf',
-    'analyze-neg-hyper': 'a38211293bc0c9ad271a1fe04acd0d48bdf92c751b5de8925fdb431016a0d6d2',
-    'sim-two-slit.counts': '3adaca21b6bd8fa5f0dde20cffde5fbe6d8e3ab05bdcbbf1d56652aa237c86b3',
+    'analyze-3': 'ba24f38689247ee5ecfeec24d16ea0efd17fc2b5e79778b8c22ef5aaccb1cc63',
+    'analyze-5': '6b8aa51868fb16f965adacf8ffaae0367fa9c534dfe4a6ce3798f6973c8456b3',
+    'analyze-degenerate': 'f7a2c94fb16328d2c07eb38bdc149b9c8d06cae4ad59b7c60f513f0b5161cba8',
+    'analyze-neg-hyper': '435487e19d96343d0f97598e68ca888a2346eb161e6a957461c12f1169bd65c0',
+    'sim-two-slit.counts': '716400d144fb29118f4a2e5ae61a2a611077b0ca745ac0dfe9790b447d9a10d4',
     'sim-two-slit.truth': '990450d17b728ff399493af01ccf21bf2f2760630edebb69cec99f76b8284217',
-    'sim-urn.counts': 'b276e7e20ac1b15b2c395e03faca7b720fb982e0d5d9eb7abbf7825708c5f828',
+    'sim-urn.counts': '379b4e9b43eb3e7215dabf9cb0a736cca9412d136319d5b4767cf8fd4febf56c',
     'sim-urn.truth': 'f725b467f40aa49d880ea850dcdaff715f374bc99451e72932b674ff879b4464',
-    'sim-direct-3.counts': 'e5252edac544ab4abded3a3ff43bdd706d96bb956b57a2d8cbb01385b5bc1d48',
+    'sim-direct-3.counts': 'c7e081b1f016e18a23691ae7465e98647382eb05f786b94c538caf7d0cfac2b6',
     'sim-direct-3.truth': 'fd62a6e2155659ee5949b9e92e8148dfb8c754671e95b2f00da0fb007c51a204',
-    'sim-direct-5.counts': '430a8d41ef130c152a685bd7a3b1f976e8a5979a81db9f6b47edb11d9f6e6f51',
+    'sim-direct-5.counts': '221d3eeed2a0d5e34f77e28bf47aab6c06589bb6110317571550bfdbfe3b436a',
     'sim-direct-5.truth': '6acdf64d4f8238c5d40e96bc991a0ba77f2a6638264ec3682188b8d0f2620bf4',
-    'zero-proportion.analyze-seed0': 'd041a9a149beaa8c60bbec5cb638a80643f0b17295852e9778e3cd7aec39ba2d',
-    'zero-proportion.analyze-seed11': 'f64ac10331ef0c3c46d439ed245da850eca6a5e5b87f5ebc7b1530ca3c91b89c',
-    'sim-two-slit.analyze-seed0': 'a5848660c1e7e73255f32e60f22be862db8b8e96f70ff917267d64409daadfd1',
-    'sim-two-slit.analyze-seed11': '36500d8454cf202213067a03a1c1ee04c03fab1529ab2183faf4e8334026ca24',
-    'sim-urn.analyze-seed0': 'a75975017f61a0a1a600b5d6cdb6545ba8c326869bdcba5e20e4399376a193d2',
-    'sim-urn.analyze-seed11': 'bf38ec3c7b7ddd12795e5f9033e74b260c75bcc308e12ef3c3bdd70ca27cc4a8',
-    'sim-direct-3.analyze-seed0': '13f74a6216369c742f8138a07a1e94bb98cd01766bcf60abc2923d632a3f6a92',
-    'sim-direct-3.analyze-seed11': '6277d2336ce812178785ac2f9ce38387edaefc9fa89a86bb06c1259053de069e',
-    'sim-direct-5.analyze-seed0': 'e32ec337a78225f7531913e41670ce37d0833eb94b07406dc296a72fb97d97a2',
-    'sim-direct-5.analyze-seed11': '73304db82b64ff8a25e814d305d797c30a21abbb6f98b12a4e545ae9989102f6',
+    'zero-proportion.analyze-seed0': '09a003ddc93757bd860940998cbdeade7b7b1e9375fc065e5818aab86f71ad18',
+    'zero-proportion.analyze-seed11': '2405a04fed290a9293f49c08008ffd0d6a43e8f3d69606d95e83fe0f4c5bc1db',
+    'sim-two-slit.analyze-seed0': 'e59c501697984d91cf636b6c3ce612c68dd12a20de12b66ee87b7b21272b176c',
+    'sim-two-slit.analyze-seed11': 'ac048c2bc886cadf99cee4b8dd7d7651c2bf129c542c67883f1e64d77bc4b961',
+    'sim-urn.analyze-seed0': 'd9994d2c995968197aa619899b08a05a1f1d763a039d23df26f61613c73dada3',
+    'sim-urn.analyze-seed11': '86af74d060b66a7a8fd1f6c2b8e768df748ee25d07b3aa67b102aa6c3e95cc29',
+    'sim-direct-3.analyze-seed0': 'b1298f5f7a0ce88787b1194cd9df95c8397c47399e4b3c14985c7f1ad7fa5443',
+    'sim-direct-3.analyze-seed11': 'dd9b3d75956c1533abbdeaad465fae673e0a0645152dfce8d9bf13e3bf403bf7',
+    'sim-direct-5.analyze-seed0': 'cbca75e8eef3e75ed35099ba870e0c22d059e841b25a752a21597a0af1b64a2d',
+    'sim-direct-5.analyze-seed11': '9f97efd75838feb8c20918f93f01dee31b30409611676f35fd3a6794855acc2e',
 }
 
 

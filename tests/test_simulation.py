@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxprob.calculus import Degenerate, Hyperbolic, Trigonometric
+from ctxprob.data import context_probabilities
 from ctxprob.errors import InvalidScenario, RegimeMismatch
 from ctxprob.simulation import (
     CountRow,
@@ -133,12 +134,29 @@ class TestSampleCounts:
         for label in ("S", "S1p", "S2p"):
             assert bare.row(label) == full.row(label)
 
-    def test_chunked_sampling_matches_single_pass(self, monkeypatch):
-        import ctxprob.simulation as sim
+    @pytest.mark.parametrize("scenario", [TWO_SLIT, URN], ids=["two-slit", "urn"])
+    def test_successes_have_binomial_spread(self, scenario):
+        # Across 400 fixed seeds, each context's successes must vary like
+        # Binomial(n, p): the sample variance over n*p*(1-p) has a standard
+        # error of about sqrt(2/399) = 0.07, so the pinned band is 3.5 of
+        # them wide on each side.  A draw with the wrong n or p can keep the
+        # right mean but not this spread.
+        n = 10**4
+        tables = [sample_counts(scenario, n, seed=seed) for seed in range(400)]
+        truth = context_probabilities(scenario_truth(scenario))
+        for label, p in truth.items():
+            successes = np.array([t.row(label).successes for t in tables], dtype=float)
+            ratio = np.var(successes, ddof=1) / (n * p * (1.0 - p))
+            assert 0.75 <= ratio <= 1.25, (label, ratio)
 
-        small = sample_counts(TWO_SLIT, 10000, seed=3)
-        monkeypatch.setattr(sim, "_SAMPLE_CHUNK", 1024)
-        assert sample_counts(TWO_SLIT, 10000, seed=3) == small
+    def test_trials_bounded_like_count_files(self):
+        scenario = DirectScenario(0.5, 0.2, 0.2)
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            sample_counts(scenario, 2**63, seed=0)
+        table = sample_counts(scenario, 2**63 - 1, seed=0)
+        assert all(row.trials == 2**63 - 1 for row in table.rows)
+        with pytest.raises(ValueError):
+            sample_counts(scenario, 0, seed=0)
 
     def test_proportions_near_truth(self):
         truth = scenario_truth(TWO_SLIT)

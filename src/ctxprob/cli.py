@@ -18,8 +18,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .amplitudes import wave_from_analysis
 from .calculus import (
     ContextTriple,
@@ -60,6 +58,7 @@ from .errors import (
 )
 from .simulation import (
     GENERATOR_NAME,
+    MAX_REPLICATES,
     EstimationReport,
     HyperbolicUrnScenario,
     TwoSlitScenario,
@@ -73,6 +72,7 @@ DEFAULT_SEED = 0
 DEFAULT_REPLICATES = 1000
 DEFAULT_CONFIDENCE = 0.95
 DEFAULT_TRIALS = 10000
+MAX_SWEEP_STEPS = 10**6
 
 
 class _UsageError(Exception):
@@ -112,7 +112,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--p1", type=float, help="first pre-transition subcontext probability")
     p.add_argument("--p2", type=float, help="second pre-transition subcontext probability")
     p.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES,
-                   help=f"bootstrap replicates (default {DEFAULT_REPLICATES})")
+                   help=f"bootstrap replicates, at most {MAX_REPLICATES} "
+                        f"(default {DEFAULT_REPLICATES})")
     p.add_argument("--confidence", type=float, default=DEFAULT_CONFIDENCE,
                    help=f"interval confidence level (default {DEFAULT_CONFIDENCE})")
     _add_run_options(p)
@@ -146,7 +147,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--p2p", type=float, required=True)
     p.add_argument("--lambda-min", dest="lambda_min", type=float, required=True)
     p.add_argument("--lambda-max", dest="lambda_max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True, help="grid size, at least 2")
+    p.add_argument("--steps", type=int, required=True,
+                   help=f"grid size, from 2 to {MAX_SWEEP_STEPS}")
     p.add_argument("--output", default="-")
 
     p = sub.add_parser("range", help="print the admissible coefficient interval")
@@ -254,6 +256,8 @@ def _cmd_analyze(args) -> int:
         raise _UsageError("direct mode requires --p-s, --p1p and --p2p")
     if args.replicates < 0:
         raise _UsageError(f"--replicates must be >= 0, got {args.replicates}")
+    if args.replicates > MAX_REPLICATES:
+        raise _UsageError(f"--replicates must be at most {MAX_REPLICATES}, got {args.replicates}")
     if not (0.0 < args.confidence < 1.0):
         raise _UsageError(f"--confidence must lie in (0, 1), got {args.confidence}")
     seed = _check_seed_flag(args.seed)
@@ -318,9 +322,25 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _linspace(lo: float, hi: float, n: int):
+    """The n-point grid from lo to hi, bit-identical to ``numpy.linspace(lo, hi, n)``.
+
+    Point i is ``i * step + lo``; a step that underflows to zero falls back
+    to ``i / (n - 1) * (hi - lo) + lo``, and the last point is ``hi`` itself.
+    """
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    for i in range(div):
+        yield (i / div * delta if step == 0 else i * step) + lo
+    yield hi
+
+
 def _cmd_sweep(args) -> int:
     if args.steps < 2:
         raise _UsageError(f"--steps must be >= 2, got {args.steps}")
+    if args.steps > MAX_SWEEP_STEPS:
+        raise _UsageError(f"--steps must be at most {MAX_SWEEP_STEPS}, got {args.steps}")
     if not (args.lambda_min < args.lambda_max):
         raise _UsageError(
             f"--lambda-min must be strictly below --lambda-max, "
@@ -336,8 +356,7 @@ def _cmd_sweep(args) -> int:
             f"interval [{_g17(lo)}, {_g17(hi)}]"
         )
     lines = ["lambda,theta,regime,p_s"]
-    for lam in np.linspace(args.lambda_min, args.lambda_max, args.steps):
-        lam = float(lam)
+    for lam in _linspace(args.lambda_min, args.lambda_max, args.steps):
         regime = classify(lam)
         p_s = reconstruct_probability(a, b, lam)
         lines.append(f"{_g17(lam)},{_g17(regime.theta)},{regime.kind},{_g17(p_s)}")

@@ -18,6 +18,9 @@ sampling streams in :data:`CONTEXT_LABELS` order; bootstrap resampling uses
 ids 16-20 so that reusing one seed across the pipeline never aliases
 streams.  ``Generator.binomial`` is outside numpy's stream-compatibility
 policy (NEP 19), so a seed's counts are fixed for a given numpy version.
+numpy is imported only by the code that draws (the substream constructor
+and the bootstrap), so scenarios, their truth and the constants load
+without it.
 
 The count model (:data:`CONTEXT_LABELS`, :class:`CountRow`,
 :class:`CountTable`) lives in :mod:`ctxprob.data`, the I/O layer; it is
@@ -28,9 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .calculus import (
     ContextTriple,
@@ -43,6 +44,9 @@ from .calculus import (
 )
 from .data import _INTEGER_BOUND, CONTEXT_LABELS, CountRow, CountTable, context_probabilities
 from .errors import InvalidScenario, RegimeMismatch
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CONTEXT_LABELS",
@@ -65,8 +69,13 @@ _BOOTSTRAP_STREAM_BASE = 16
 
 GENERATOR_NAME = "philox4x64-seedseq-v2"
 
+MAX_REPLICATES = 10**6
+"""Upper bound on bootstrap replicates: at the cap each replicate array holds 8 MB."""
+
 
 def _context_rng(seed: int, stream: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream))))
 
 
@@ -205,11 +214,6 @@ def sample_counts(scenario: Scenario, trials_per_context: int, seed: int = 0) ->
     return CountTable(tuple(rows))
 
 
-def _percentile_interval(values: np.ndarray, levels: tuple[float, float]) -> tuple[float, float]:
-    lo, hi = np.quantile(values, levels)
-    return float(lo), float(hi)
-
-
 def estimate(
     counts: CountTable,
     replicates: int = 1000,
@@ -225,11 +229,14 @@ def estimate(
     are empirical percentiles (linear interpolation).  A zero post-transition
     proportion is flagged as a degenerate point regime, never raised;
     replicates with a degenerate denominator carry no coefficient and are
-    classified degenerate for stability purposes.
+    classified degenerate for stability purposes.  ``replicates`` lies in
+    [0, :data:`MAX_REPLICATES`].
     """
     r = int(replicates)
-    if r != replicates or r < 0:
-        raise ValueError(f"replicates must be a nonnegative integer, got {replicates!r}")
+    if r != replicates or not (0 <= r <= MAX_REPLICATES):
+        raise ValueError(
+            f"replicates must be an integer in [0, {MAX_REPLICATES}], got {replicates!r}"
+        )
     c = float(confidence)
     if not (0.0 < c < 1.0):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
@@ -249,13 +256,21 @@ def estimate(
             confidence=c,
         )
 
+    import numpy as np
+
     q_lo = (1.0 - c) / 2.0
     levels = (q_lo, 1.0 - q_lo)
-    boot = {}
-    for row in counts.rows:
-        rng = _context_rng(s, _BOOTSTRAP_STREAM_BASE + _STREAM_ID[row.label])
-        boot[row.label] = rng.binomial(row.trials, p_hat[row.label], size=r) / row.trials
-    context_intervals = {label: _percentile_interval(v, levels) for label, v in boot.items()}
+    labels = [row.label for row in counts.rows]
+    replicate_matrix = np.stack([
+        _context_rng(s, _BOOTSTRAP_STREAM_BASE + _STREAM_ID[row.label])
+        .binomial(row.trials, p_hat[row.label], size=r) / row.trials
+        for row in counts.rows
+    ])
+    lows, highs = np.quantile(replicate_matrix, levels, axis=1)
+    context_intervals = {
+        label: (lo, hi) for label, lo, hi in zip(labels, lows.tolist(), highs.tolist())
+    }
+    boot = dict(zip(labels, replicate_matrix))
 
     delta_b = boot["S"] - boot["S1p"] - boot["S2p"]
     denom = 2.0 * np.sqrt(boot["S1p"] * boot["S2p"])
@@ -274,7 +289,8 @@ def estimate(
 
     lambda_interval = None
     if point.lam is not None and bool(ok.any()):
-        lambda_interval = _percentile_interval(lam_b[ok], levels)
+        lo, hi = np.quantile(lam_b[ok], levels)
+        lambda_interval = (float(lo), float(hi))
 
     theta_std = None
     if point.lam is not None:

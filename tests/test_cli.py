@@ -1,11 +1,15 @@
 import io
 import json
 import math
+import random
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from ctxprob.calculus import lambda_range
 from ctxprob.cli import main
 from ctxprob.data import parse_report
 
@@ -129,6 +133,16 @@ class TestAnalyzeFile:
         code, _, err = run_cli(capsysbinary, "analyze", str(counts), "--replicates", "10")
         assert code == 3
         assert err.startswith(b"error: inadmissible:")
+
+    def test_replicates_above_cap_exit_1(self, capsysbinary, tmp_path):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("context,successes,trials\nS,900,1000\nS1p,100,1000\nS2p,100,1000\n")
+        code, out, err = run_cli(
+            capsysbinary, "analyze", str(counts), "--replicates", "1000000000000"
+        )
+        assert code == 1
+        assert out == b""
+        assert err == b"error: usage: --replicates must be at most 1000000, got 1000000000000\n"
 
     def test_missing_file_exits_2(self, capsysbinary, tmp_path):
         code, _, err = run_cli(capsysbinary, "analyze", str(tmp_path / "nope.csv"))
@@ -313,6 +327,36 @@ class TestSweep:
             "--lambda-min", "0", "--lambda-max", "1", "--steps", "1",
         )
         assert code == 1
+
+    def test_steps_above_cap_exit_1(self, capsysbinary):
+        code, out, err = run_cli(
+            capsysbinary,
+            "sweep", "--p1p", "0.25", "--p2p", "0.25",
+            "--lambda-min", "0", "--lambda-max", "1", "--steps", "1000000000000",
+        )
+        assert code == 1
+        assert out == b""
+        assert err == b"error: usage: --steps must be at most 1000000, got 1000000000000\n"
+
+    def test_lambda_column_matches_numpy_linspace(self, capsysbinary):
+        rng = random.Random(4)
+        # a span of one subnormal over 3 steps has a zero step: the fallback branch
+        cases = [(0.25, 0.25, 0.0, 5e-324, 3), (0.25, 0.25, -1.0, 1.0, 2)]
+        for _ in range(40):
+            a, b = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
+            lo, hi = lambda_range(a, b)
+            x, y = sorted(rng.uniform(lo, hi) for _ in range(2))
+            cases.append((a, b, x, y, rng.choice([2, 3, 11, rng.randint(2, 200)])))
+        for a, b, x, y, steps in cases:
+            code, out, _ = run_cli(
+                capsysbinary,
+                "sweep", "--p1p", repr(a), "--p2p", repr(b),
+                "--lambda-min", repr(x), "--lambda-max", repr(y), "--steps", str(steps),
+            )
+            assert code == 0
+            column = [float(line.split(",")[0]) for line in out.decode().split("\n")[1:-1]]
+            expected = np.linspace(x, y, steps).tolist()
+            assert [struct.pack("d", v) for v in column] == [struct.pack("d", v) for v in expected]
 
     def test_out_of_range_interval_exits_3(self, capsysbinary):
         code, _, err = run_cli(

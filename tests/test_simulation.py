@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ctxprob.calculus import Degenerate, Hyperbolic, Trigonometric
 from ctxprob.data import context_probabilities
+from ctxprob import simulation
 from ctxprob.errors import InvalidScenario, RegimeMismatch
 from ctxprob.simulation import (
     CountRow,
@@ -227,6 +228,18 @@ class TestEstimate:
             estimate(table, confidence=1.0)
         with pytest.raises(ValueError):
             estimate(table, seed=-1)
+
+    def test_replicates_capped(self, monkeypatch):
+        table = _table(("S", 9, 10), ("S1p", 1, 10), ("S2p", 1, 10))
+        # rejected by the argument check, before any replicate array exists
+        with pytest.raises(ValueError, match="replicates must be an integer in"):
+            estimate(table, replicates=simulation.MAX_REPLICATES + 1)
+        with pytest.raises(ValueError):
+            estimate(table, replicates=10**12)
+        monkeypatch.setattr(simulation, "MAX_REPLICATES", 5)
+        assert estimate(table, replicates=5).replicates == 5
+        with pytest.raises(ValueError):
+            estimate(table, replicates=6)
 
     def test_consistency_across_sample_sizes(self):
         # |lambda_hat - 0.5| within 0.01 at 1e6 trials for >= 95 of 100 seeds

@@ -13,7 +13,6 @@ from ctxprob import (
     ContextTriple,
     analyze,
     lambda_range,
-    naive_identification_error,
     reconstruct_probability,
 )
 
@@ -26,7 +25,7 @@ print("large-deviation transition")
 print(f"  delta  = {result.delta:+.6f}")
 print(f"  lambda = {result.lam:+.6f}")
 print(f"  regime = {result.regime}")
-print(f"  naive identification error = {naive_identification_error(triple):+.6f}")
+print(f"  naive identification error = {result.delta:+.6f}")
 print()
 
 # An additive triple sits exactly at lambda = 0 (phase pi/2): the classical

@@ -9,7 +9,7 @@ finite count data with bootstrap uncertainty.
 """
 
 from .calculus import (
-    DEFAULT_TOLERANCES,
+    ROUND_OFF,
     ContextTriple,
     CorrespondencePoint,
     Degenerate,
@@ -17,7 +17,6 @@ from .calculus import (
     Hyperbolic,
     Probability,
     Regime,
-    Tolerances,
     TransitionAnalysis,
     Trigonometric,
     analyze,
@@ -27,7 +26,6 @@ from .calculus import (
     delta_from_reference,
     lambda_coefficient,
     lambda_range,
-    naive_identification_error,
     reconstruct_probability,
 )
 from .amplitudes import (

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Union
 
 from .calculus import (
+    ROUND_OFF,
     Degenerate,
     Hyperbolic,
     Probability,
@@ -35,8 +36,6 @@ __all__ = [
     "wave_from_analysis",
 ]
 
-_PHASE_SLACK = 1e-12
-
 
 @dataclass(frozen=True)
 class ComplexAmplitude:
@@ -53,9 +52,6 @@ class ComplexAmplitude:
     @property
     def squared_modulus(self) -> float:
         return self.re * self.re + self.im * self.im
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,7 @@ def trig_wave(p1_prime, p2_prime, theta: float) -> ComplexAmplitude:
     a = Probability(p1_prime, "p1_prime")
     b = Probability(p2_prime, "p2_prime")
     t = float(theta)
-    if not (-_PHASE_SLACK <= t <= math.pi + _PHASE_SLACK):
+    if not (-ROUND_OFF <= t <= math.pi + ROUND_OFF):
         raise ValueError(f"trigonometric phase must lie in [0, pi], got {theta!r}")
     t = min(max(t, 0.0), math.pi)
     ra = math.sqrt(a)

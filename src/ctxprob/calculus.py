@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -45,8 +45,7 @@ from .errors import (
 )
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
+    "ROUND_OFF",
     "Probability",
     "ContextTriple",
     "DegenerateReason",
@@ -63,48 +62,31 @@ __all__ = [
     "reconstruct_probability",
     "lambda_range",
     "analyze",
-    "naive_identification_error",
     "correspondence_scan",
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances used throughout the calculus.
-
-    ``additivity`` bounds the exact-input subcontext additivity check of
-    :class:`ContextTriple`; ``identity`` bounds admissibility slack and the
-    round-trip identities.  Counts-derived inputs are judged statistically
-    instead (see :func:`ctxprob.data.additivity_check`).
-    """
-
-    additivity: float = 1e-9
-    identity: float = 1e-12
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# The one round-off slack: a probability or phase at most this far outside
+# its closed interval is clipped to it; further out, it is rejected.
+ROUND_OFF = 1e-12
+# Exact-input subcontext additivity; count data is judged by data.additivity_check.
+_ADDITIVITY_TOL = 1e-9
 
 
 class Probability(float):
     """A real number in [0, 1].
 
     Values outside the interval are rejected, except for round-off
-    excursions within ``ROUND_OFF`` (1e-12) of an endpoint, which are
-    clipped to that endpoint.  ``name`` identifies the value in the error
-    message, e.g. ``"p1_prime"`` or a command-line flag.
+    excursions within ``ROUND_OFF`` of an endpoint, which are clipped to
+    that endpoint.  ``name`` identifies the value in the error message,
+    e.g. ``"p1_prime"`` or a command-line flag.
     """
-
-    ROUND_OFF = 1e-12
 
     def __new__(cls, value: float, name: str = "probability") -> "Probability":
         x = float(value)
-        if not math.isfinite(x) or x < -cls.ROUND_OFF or x > 1.0 + cls.ROUND_OFF:
+        if not math.isfinite(x) or x < -ROUND_OFF or x > 1.0 + ROUND_OFF:
             raise InvalidProbability(f"{name} must lie in [0, 1], got {value!r}")
         return super().__new__(cls, min(max(x, 0.0), 1.0))
-
-    @property
-    def value(self) -> float:
-        return float(self)
 
     def __repr__(self) -> str:
         return f"Probability({float(self)!r})"
@@ -118,7 +100,7 @@ class ContextTriple:
     ``p1_prime``/``p2_prime`` the probabilities under the post-transition
     subcontexts.  ``p1``/``p2`` optionally carry the pre-transition
     subcontext probabilities; they must be given together and must add up
-    to ``p_s`` within ``additivity_tol``.
+    to ``p_s`` within 1e-9.
     """
 
     p_s: Probability
@@ -126,9 +108,8 @@ class ContextTriple:
     p2_prime: Probability
     p1: Probability | None = None
     p2: Probability | None = None
-    additivity_tol: InitVar[float] = DEFAULT_TOLERANCES.additivity
 
-    def __post_init__(self, additivity_tol: float) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(self, "p_s", Probability(self.p_s))
         object.__setattr__(self, "p1_prime", Probability(self.p1_prime))
         object.__setattr__(self, "p2_prime", Probability(self.p2_prime))
@@ -138,11 +119,11 @@ class ContextTriple:
             object.__setattr__(self, "p1", Probability(self.p1))
             object.__setattr__(self, "p2", Probability(self.p2))
             gap = abs(float(self.p_s) - (float(self.p1) + float(self.p2)))
-            if gap > additivity_tol:
+            if gap > _ADDITIVITY_TOL:
                 raise AdditivityViolation(
                     f"p_s={float(self.p_s)!r} deviates from p1+p2="
                     f"{float(self.p1) + float(self.p2)!r} by {gap:.3e} "
-                    f"(tolerance {additivity_tol:.1e})"
+                    f"(tolerance {_ADDITIVITY_TOL:.1e})"
                 )
 
 
@@ -213,11 +194,11 @@ class TransitionAnalysis:
         if degenerate != (self.lam is None):
             raise ValueError("lam must be None exactly for a degenerate regime")
         if isinstance(self.regime, Trigonometric):
-            if abs(math.cos(self.regime.theta) - self.lam) > DEFAULT_TOLERANCES.identity:
+            if abs(math.cos(self.regime.theta) - self.lam) > ROUND_OFF:
                 raise ValueError("trigonometric phase does not match lam")
         elif isinstance(self.regime, Hyperbolic):
             gap = abs(self.regime.sign * math.cosh(self.regime.theta) - self.lam)
-            if gap > DEFAULT_TOLERANCES.identity * abs(self.lam):
+            if gap > ROUND_OFF * abs(self.lam):
                 raise ValueError("hyperbolic phase does not match lam")
 
 
@@ -291,15 +272,13 @@ def classify(lam: float) -> Regime:
     return Hyperbolic(sign=1 if x > 0.0 else -1, theta=math.acosh(abs(x)))
 
 
-def reconstruct_probability(p1_prime, p2_prime, lam: float, *, tol: float | None = None) -> Probability:
+def reconstruct_probability(p1_prime, p2_prime, lam: float) -> Probability:
     """Rebuild the transformed probability from the reference pair and ``lam``.
 
-    Returns ``p1_prime + p2_prime + 2*sqrt(p1_prime*p2_prime)*lam``.  Values
-    outside [0, 1] beyond ``tol`` (default 1e-12) raise
+    Returns ``p1_prime + p2_prime + 2*sqrt(p1_prime*p2_prime)*lam``, clipped
+    to [0, 1].  Values outside [-ROUND_OFF, 1 + ROUND_OFF] raise
     :class:`InadmissibleLambda`: no context transition can produce them.
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.identity
     a = float(Probability(p1_prime, "p1_prime"))
     b = float(Probability(p2_prime, "p2_prime"))
     x = float(lam)
@@ -309,7 +288,7 @@ def reconstruct_probability(p1_prime, p2_prime, lam: float, *, tol: float | None
         value = a + b + _denominator(a, b) * x
     except DegenerateDenominator:
         value = a + b  # a zero reference probability removes the interference term
-    if value < -tol or value > 1.0 + tol:
+    if value < -ROUND_OFF or value > 1.0 + ROUND_OFF:
         raise InadmissibleLambda(
             f"lambda={x!r} maps ({a!r}, {b!r}) to {value!r}, outside [0, 1]"
         )
@@ -321,8 +300,10 @@ def lambda_range(p1_prime, p2_prime) -> tuple[float, float]:
 
     The bounds are forced by 0 <= p_s <= 1 in the reconstruction formula:
     ``lambda_min = -(a + b) / (2*sqrt(a*b))`` and
-    ``lambda_max = (1 - a - b) / (2*sqrt(a*b))``.
-    :func:`reconstruct_probability` succeeds exactly on this interval.
+    ``lambda_max = (1 - a - b) / (2*sqrt(a*b))``.  The admissibility rule
+    itself is ``a + b + 2*sqrt(a*b)*lambda`` in ``[-ROUND_OFF, 1 + ROUND_OFF]``,
+    so :func:`reconstruct_probability` also accepts coefficients up to about
+    ``ROUND_OFF / (2*sqrt(a*b))`` beyond either bound.
     """
     a = Probability(p1_prime, "p1_prime")
     b = Probability(p2_prime, "p2_prime")
@@ -355,16 +336,6 @@ def analyze(triple: ContextTriple) -> TransitionAnalysis:
     return TransitionAnalysis(delta=delta, lam=lam, regime=classify(lam))
 
 
-def naive_identification_error(triple: ContextTriple) -> float:
-    """Signed error made by identifying the two arrangements' subcontexts.
-
-    Treating the post-transition pair as if it still decomposed ``p_s``
-    misses by exactly the perturbation; this diagnostic equals
-    ``analyze(triple).delta`` and is exposed under its own name.
-    """
-    return delta_from_reference(triple.p_s, triple.p1_prime, triple.p2_prime)
-
-
 def correspondence_scan(
     base: ContextTriple,
     perturbation: tuple[float, float],
@@ -393,7 +364,7 @@ def correspondence_scan(
         q1 = float(base.p1) + e * c1
         q2 = float(base.p2) + e * c2
         for name, q in (("p1", q1), ("p2", q2)):
-            if not (0.0 < q <= 1.0 + Probability.ROUND_OFF):
+            if not (0.0 < q <= 1.0 + ROUND_OFF):
                 raise InvalidPerturbedProbability(
                     f"perturbed {name} = {q!r} at eps={e!r} leaves (0, 1]"
                 )

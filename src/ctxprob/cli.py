@@ -20,6 +20,7 @@ import sys
 
 from .amplitudes import wave_from_analysis
 from .calculus import (
+    ROUND_OFF,
     ContextTriple,
     Degenerate,
     Hyperbolic,
@@ -46,16 +47,7 @@ from .data import (
     write_counts,
     write_report,
 )
-from .errors import (
-    AdditivityViolation,
-    DegenerateDenominator,
-    DegenerateVariance,
-    InadmissibleLambda,
-    InvalidProbability,
-    InvalidScenario,
-    NonFinite,
-    ParseError,
-)
+from .errors import CtxprobError, InadmissibleLambda, ParseError
 from .simulation import (
     GENERATOR_NAME,
     MAX_REPLICATES,
@@ -111,11 +103,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--p2p", type=float, help="second post-transition probability")
     p.add_argument("--p1", type=float, help="first pre-transition subcontext probability")
     p.add_argument("--p2", type=float, help="second pre-transition subcontext probability")
-    p.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES,
-                   help=f"bootstrap replicates, at most {MAX_REPLICATES} "
+    p.add_argument("--replicates", type=int,
+                   help=f"count-file bootstrap replicates, at most {MAX_REPLICATES} "
                         f"(default {DEFAULT_REPLICATES})")
-    p.add_argument("--confidence", type=float, default=DEFAULT_CONFIDENCE,
-                   help=f"interval confidence level (default {DEFAULT_CONFIDENCE})")
+    p.add_argument("--confidence", type=float,
+                   help=f"count-file interval confidence (default {DEFAULT_CONFIDENCE})")
     _add_run_options(p)
 
     p = sub.add_parser("simulate", help="sample a scenario into a count file")
@@ -254,20 +246,22 @@ def _cmd_analyze(args) -> int:
         raise _UsageError("give a counts file or direct probabilities, not both")
     if not file_mode and any(v is None for v in (args.p_s, args.p1p, args.p2p)):
         raise _UsageError("direct mode requires --p-s, --p1p and --p2p")
-    if args.replicates < 0:
-        raise _UsageError(f"--replicates must be >= 0, got {args.replicates}")
-    if args.replicates > MAX_REPLICATES:
-        raise _UsageError(f"--replicates must be at most {MAX_REPLICATES}, got {args.replicates}")
-    if not (0.0 < args.confidence < 1.0):
-        raise _UsageError(f"--confidence must lie in (0, 1), got {args.confidence}")
+    if not file_mode and (args.replicates is not None or args.confidence is not None):
+        raise _UsageError("--replicates and --confidence apply only to a counts file")
+    replicates = DEFAULT_REPLICATES if args.replicates is None else args.replicates
+    confidence = DEFAULT_CONFIDENCE if args.confidence is None else args.confidence
+    if replicates < 0:
+        raise _UsageError(f"--replicates must be >= 0, got {replicates}")
+    if replicates > MAX_REPLICATES:
+        raise _UsageError(f"--replicates must be at most {MAX_REPLICATES}, got {replicates}")
+    if not (0.0 < confidence < 1.0):
+        raise _UsageError(f"--confidence must lie in (0, 1), got {confidence}")
     seed = _check_seed_flag(args.seed)
 
     if file_mode:
         source = "<stdin>" if args.counts == "-" else args.counts
         counts = parse_counts(_read_input(args.counts), source=source).table
-        report = estimate(
-            counts, replicates=args.replicates, confidence=args.confidence, seed=seed
-        )
+        report = estimate(counts, replicates=replicates, confidence=confidence, seed=seed)
         doc = _counts_document(counts, report, additivity_check(counts))
     else:
         triple = _flag_triple(args)
@@ -349,8 +343,7 @@ def _cmd_sweep(args) -> int:
     a = Probability(args.p1p, "--p1p")
     b = Probability(args.p2p, "--p2p")
     lo, hi = lambda_range(a, b)
-    slack = 1e-12
-    if args.lambda_min < lo - slack or args.lambda_max > hi + slack:
+    if args.lambda_min < lo - ROUND_OFF or args.lambda_max > hi + ROUND_OFF:
         raise InadmissibleLambda(
             f"requested [{args.lambda_min}, {args.lambda_max}] exceeds the admissible "
             f"interval [{_g17(lo)}, {_g17(hi)}]"
@@ -399,15 +392,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: io: {e}", file=sys.stderr)
         return 2
-    except (
-        InvalidProbability,
-        AdditivityViolation,
-        InadmissibleLambda,
-        InvalidScenario,
-        DegenerateDenominator,
-        DegenerateVariance,
-        NonFinite,
-    ) as e:
+    except CtxprobError as e:
         print(f"error: inadmissible: {e}", file=sys.stderr)
         return 3
 

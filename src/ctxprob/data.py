@@ -264,13 +264,13 @@ def parse_counts(text: bytes | str, source: str = "<memory>") -> CountFile:
     return CountFile(table=CountTable(tuple(rows)), source=source, line_numbers=line_numbers)
 
 
-def additivity_check(counts: CountTable, threshold: float = 3.0) -> AdditivityCheck | None:
+def additivity_check(counts: CountTable) -> AdditivityCheck | None:
     """Test whether the S1/S2 counts additively decompose the S counts.
 
     Returns None when either subcontext row is absent.  Otherwise computes
     ``z = (p_S - p_S1 - p_S2) / sqrt(v_S + v_S1 + v_S2)`` with the usual
     binomial variances ``v = p*(1-p)/trials`` and flags the decomposition
-    consistent when ``|z| <= threshold``.  An exactly zero variance sum with
+    consistent when ``|z| <= 3``.  An exactly zero variance sum with
     a nonzero difference raises :class:`DegenerateVariance`.
     """
     r_s = counts.row("S")
@@ -290,7 +290,7 @@ def additivity_check(counts: CountTable, threshold: float = 3.0) -> AdditivityCh
             "the decomposition is deterministically violated"
         )
     z = diff / math.sqrt(variance)
-    return AdditivityCheck(z_statistic=z, consistent=abs(z) <= threshold)
+    return AdditivityCheck(z_statistic=z, consistent=abs(z) <= 3.0)
 
 
 @dataclass(frozen=True)

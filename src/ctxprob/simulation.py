@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from .calculus import (
+    ROUND_OFF,
     ContextTriple,
     Degenerate,
     Hyperbolic,
@@ -116,7 +117,7 @@ class TwoSlitScenario:
             raise InvalidScenario(f"phase must lie in [0, pi], got {self.phase!r}")
         p_s = self.combined_probability
         for name, p in (("m1**2", m1 * m1), ("m2**2", m2 * m2), ("combined probability", p_s)):
-            if p > 1.0 + Probability.ROUND_OFF:
+            if p > 1.0 + ROUND_OFF:
                 raise InvalidScenario(f"{name} = {p!r} exceeds 1")
 
     @property
@@ -145,7 +146,7 @@ class HyperbolicUrnScenario:
         for name in ("p1", "p2", "p1_prime", "p2_prime"):
             object.__setattr__(self, name, Probability(getattr(self, name)))
         p_s = float(self.p1) + float(self.p2)
-        if p_s > 1.0 + Probability.ROUND_OFF:
+        if p_s > 1.0 + ROUND_OFF:
             raise InvalidScenario(f"p1 + p2 = {p_s!r} exceeds 1")
         lam = analyze(ContextTriple(p_s, self.p1_prime, self.p2_prime)).lam
         if lam is None:

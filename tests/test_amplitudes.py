@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ctxprob.amplitudes import (
@@ -13,6 +13,7 @@ from ctxprob.amplitudes import (
     wave_from_analysis,
 )
 from ctxprob.calculus import (
+    ROUND_OFF,
     ContextTriple,
     analyze,
     lambda_range,
@@ -85,16 +86,27 @@ class TestHyperWave:
         with pytest.raises(ValueError):
             hyper_wave(0.1, 0.1, 1.0, 0)
 
+    def test_round_off_beyond_lambda_range(self):
+        # At a = b = 0.5 the range is [-1, 0], and lambda = -1 - eps maps to -eps.
+        assert lambda_range(0.5, 0.5) == (-1.0, 0.0)
+        assert reconstruct_probability(0.5, 0.5, -1.0 - 5e-13) == 0.0
+        assert hyper_wave(0.5, 0.5, 1e-6, -1).hyperbolic_modulus == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(InadmissibleLambda):
+            reconstruct_probability(0.5, 0.5, -1.0 - 2e-12)
+        with pytest.raises(InadmissibleLambda):
+            hyper_wave(0.5, 0.5, 2e-6, -1)  # cosh(2e-6) is about 1 + 2e-12
+
     @given(
         a=positive_probs,
         b=positive_probs,
         theta=st.floats(min_value=0.0, max_value=3.0),
         sign=st.sampled_from([-1, 1]),
     )
+    @example(a=0.5, b=0.5, theta=1e-6, sign=-1)  # lambda = -1 - 5e-13, just outside lambda_range
     def test_modulus_identity_where_admissible(self, a, b, theta, sign):
         lam = sign * math.cosh(theta)
-        lo, hi = lambda_range(a, b)
-        if not (lo <= lam <= hi):
+        value = a + b + 2.0 * math.sqrt(a * b) * lam
+        if not (-ROUND_OFF <= value <= 1.0 + ROUND_OFF):
             with pytest.raises(InadmissibleLambda):
                 hyper_wave(a, b, theta, sign)
             return

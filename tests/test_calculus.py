@@ -18,7 +18,6 @@ from ctxprob.calculus import (
     delta_from_reference,
     lambda_coefficient,
     lambda_range,
-    naive_identification_error,
     reconstruct_probability,
 )
 from ctxprob.errors import (
@@ -40,8 +39,8 @@ unit_floats = st.floats(min_value=0.0, max_value=1.0)
 class TestProbability:
     def test_plain_values(self):
         assert Probability(0.3) == 0.3
-        assert Probability(0).value == 0.0
-        assert Probability(1).value == 1.0
+        assert float(Probability(0)) == 0.0
+        assert float(Probability(1)) == 1.0
 
     def test_round_off_is_clipped(self):
         assert Probability(1.0 + 5e-13) == 1.0
@@ -72,10 +71,10 @@ class TestContextTriple:
         with pytest.raises(AdditivityViolation):
             ContextTriple(0.9, 0.1, 0.1, p1=0.1, p2=0.1)
 
-    def test_additivity_tolerance_is_configurable(self):
-        with pytest.raises(AdditivityViolation):
+    def test_additivity_tolerance(self):
+        ContextTriple(0.9 + 1e-10, 0.1, 0.1, p1=0.4, p2=0.5)
+        with pytest.raises(AdditivityViolation, match=r"\(tolerance 1\.0e-09\)"):
             ContextTriple(0.9 + 1e-6, 0.1, 0.1, p1=0.4, p2=0.5)
-        ContextTriple(0.9 + 1e-6, 0.1, 0.1, p1=0.4, p2=0.5, additivity_tol=1e-5)
 
 
 class TestDelta:
@@ -250,18 +249,6 @@ class TestAnalyze:
         p_s = reconstruct_probability(a, b, lam)
         recovered = lambda_coefficient(delta_from_reference(p_s, a, b), a, b)
         assert recovered == pytest.approx(lam, abs=1e-12)
-
-
-class TestNaiveIdentificationError:
-    def test_examples(self):
-        assert naive_identification_error(ContextTriple(0.9, 0.1, 0.1)) == pytest.approx(0.7, abs=1e-12)
-        assert naive_identification_error(ContextTriple(0.5, 0.25, 0.25)) == 0.0
-        assert naive_identification_error(ContextTriple(0.0, 0.25, 0.25)) == -0.5
-
-    @given(p_s=unit_floats, a=unit_floats, b=unit_floats)
-    def test_equals_delta_exactly(self, p_s, a, b):
-        triple = ContextTriple(p_s, a, b)
-        assert naive_identification_error(triple) == analyze(triple).delta
 
 
 class TestCorrespondenceScan:

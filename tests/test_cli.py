@@ -9,9 +9,11 @@ import sys
 import numpy as np
 import pytest
 
+from ctxprob import cli
 from ctxprob.calculus import lambda_range
 from ctxprob.cli import main
 from ctxprob.data import parse_report
+from ctxprob.errors import DegenerateRegime
 
 
 def run_cli(capsysbinary, *argv):
@@ -94,6 +96,29 @@ class TestAnalyzeDirect:
         code, _, err = run_cli(capsysbinary, "nonsense")
         assert code == 1
         assert err.startswith(b"error: usage:")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--replicates", "5"], ["--replicates", "1000000000000"], ["--confidence", "0.9"]],
+        ids=["replicates", "replicates-above-cap", "confidence"],
+    )
+    def test_bootstrap_flags_rejected(self, capsysbinary, flags):
+        code, out, err = run_cli(
+            capsysbinary, "analyze", "--p-s", "0.9", "--p1p", "0.1", "--p2p", "0.1", *flags
+        )
+        assert code == 1
+        assert out == b""
+        assert err == b"error: usage: --replicates and --confidence apply only to a counts file\n"
+
+
+class TestErrorContract:
+    def test_any_library_error_is_one_inadmissible_line(self, capsysbinary, monkeypatch):
+        def raising(args):
+            raise DegenerateRegime("boom")  # no command raises this one today
+
+        monkeypatch.setitem(cli._COMMANDS, "range", raising)
+        code, out, err = run_cli(capsysbinary, "range", "--p1p", "0.1", "--p2p", "0.1")
+        assert (code, out, err) == (3, b"", b"error: inadmissible: boom\n")
 
 
 class TestAnalyzeFile:

@@ -153,12 +153,6 @@ class TestAdditivityCheck:
         assert result.z_statistic == 0.0
         assert result.consistent
 
-    def test_threshold_configurable(self):
-        table = _table(("S", 520, 1000), ("S1", 250, 1000), ("S2", 250, 1000), ("S1p", 1, 10), ("S2p", 1, 10))
-        default = additivity_check(table)
-        strict = additivity_check(table, threshold=0.5)
-        assert default.consistent and not strict.consistent
-
 
 def _minimal_doc(**overrides):
     base = dict(

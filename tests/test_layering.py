@@ -4,7 +4,8 @@
 model) must stay importable without numpy and must not depend on the
 sampling layer (``simulation``) or the command line (``cli``).  The check
 reads each module's source with :mod:`ast`, so it also catches imports
-placed inside functions.
+placed inside functions.  The same ``ast`` walk checks that the 1e-12
+round-off slack is written once, as ``calculus.ROUND_OFF``.
 
 At run time, only sampling and the bootstrap load numpy: ``range``,
 ``sweep`` and direct-mode ``analyze`` run in a fresh interpreter without it.
@@ -64,6 +65,17 @@ def test_lower_layer_imports_neither_numpy_nor_upper_layers(name):
 )
 def test_detector_flags_each_import_form(source):
     assert any(_is_forbidden(m) for m in _imported_modules(source))
+
+
+def test_one_round_off_literal():
+    """The 1e-12 slack is written once, at calculus.ROUND_OFF; every other use names it."""
+    places = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-12
+    ]
+    assert [name for name, _ in places] == ["calculus.py"], places
 
 
 # The closed-form subcommands never draw, so they must not pay for importing numpy.

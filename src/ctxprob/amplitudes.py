@@ -28,14 +28,6 @@ from .calculus import (
 )
 from .errors import DegenerateRegime, NonFinite
 
-__all__ = [
-    "ComplexAmplitude",
-    "SplitComplexAmplitude",
-    "trig_wave",
-    "hyper_wave",
-    "wave_from_analysis",
-]
-
 
 @dataclass(frozen=True)
 class ComplexAmplitude:

@@ -44,27 +44,6 @@ from .errors import (
     NonFinite,
 )
 
-__all__ = [
-    "ROUND_OFF",
-    "Probability",
-    "ContextTriple",
-    "DegenerateReason",
-    "Trigonometric",
-    "Hyperbolic",
-    "Degenerate",
-    "Regime",
-    "TransitionAnalysis",
-    "CorrespondencePoint",
-    "delta_componentwise",
-    "delta_from_reference",
-    "lambda_coefficient",
-    "classify",
-    "reconstruct_probability",
-    "lambda_range",
-    "analyze",
-    "correspondence_scan",
-]
-
 
 # The one round-off slack: a probability or phase at most this far outside
 # its closed interval is clipped to it; further out, it is rejected.

@@ -17,10 +17,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import TYPE_CHECKING, Iterable
 
-from .amplitudes import wave_from_analysis
 from .calculus import (
-    ROUND_OFF,
     ContextTriple,
     Degenerate,
     Hyperbolic,
@@ -31,34 +30,12 @@ from .calculus import (
     lambda_range,
     reconstruct_probability,
 )
-from .data import (
-    _INTEGER_BOUND,
-    SCHEMA_VERSION,
-    AdditivityCheck,
-    ContextSummary,
-    CountTable,
-    Reproducibility,
-    ReportDocument,
-    WaveSummary,
-    additivity_check,
-    context_probabilities,
-    parse_counts,
-    write_bytes_atomic,
-    write_counts,
-    write_report,
-)
-from .errors import CtxprobError, InadmissibleLambda, ParseError
-from .simulation import (
-    GENERATOR_NAME,
-    MAX_REPLICATES,
-    EstimationReport,
-    HyperbolicUrnScenario,
-    TwoSlitScenario,
-    _check_seed,
-    estimate,
-    sample_counts,
-    scenario_truth,
-)
+from .errors import CtxprobError, InadmissibleLambda, NonFinite, ParseError
+
+# range and sweep need only the calculus; each command imports the rest itself.
+if TYPE_CHECKING:
+    from .data import AdditivityCheck, CountTable, ReportDocument, WaveSummary
+    from .simulation import EstimationReport
 
 DEFAULT_SEED = 0
 DEFAULT_REPLICATES = 1000
@@ -104,8 +81,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p1", type=float, help="first pre-transition subcontext probability")
     p.add_argument("--p2", type=float, help="second pre-transition subcontext probability")
     p.add_argument("--replicates", type=int,
-                   help=f"count-file bootstrap replicates, at most {MAX_REPLICATES} "
-                        f"(default {DEFAULT_REPLICATES})")
+                   help=f"count-file bootstrap replicates (default {DEFAULT_REPLICATES})")
     p.add_argument("--confidence", type=float,
                    help=f"count-file interval confidence (default {DEFAULT_CONFIDENCE})")
     _add_run_options(p)
@@ -151,6 +127,8 @@ def _build_parser() -> _Parser:
 
 
 def _check_seed_flag(seed: int) -> int:
+    from .simulation import _check_seed
+
     try:
         return _check_seed(seed)
     except ValueError:
@@ -176,15 +154,21 @@ def _read_input(path: str) -> bytes:
         return handle.read()
 
 
-def _write_output(path: str, data: bytes) -> None:
+def _write_output(path: str, chunks: Iterable[bytes]) -> None:
     if path == "-":
-        sys.stdout.buffer.write(data)
+        for chunk in chunks:
+            sys.stdout.buffer.write(chunk)
         sys.stdout.buffer.flush()
     else:
-        write_bytes_atomic(path, data)
+        from .data import write_bytes_atomic
+
+        write_bytes_atomic(path, chunks)
 
 
 def _wave_summary(p1_prime, p2_prime, analysis: TransitionAnalysis) -> WaveSummary | None:
+    from .amplitudes import wave_from_analysis
+    from .data import WaveSummary
+
     if isinstance(analysis.regime, Degenerate):
         return None
     wave = wave_from_analysis(p1_prime, p2_prime, analysis)
@@ -196,6 +180,9 @@ def _counts_document(
     report: EstimationReport,
     additivity: AdditivityCheck | None,
 ) -> ReportDocument:
+    from .data import SCHEMA_VERSION, ContextSummary, Reproducibility, ReportDocument
+    from .simulation import GENERATOR_NAME
+
     inputs = {
         row.label: ContextSummary(
             p_hat=row.proportion,
@@ -222,6 +209,11 @@ def _counts_document(
 
 
 def _direct_document(triple: ContextTriple, analysis: TransitionAnalysis, seed: int) -> ReportDocument:
+    from .data import (
+        SCHEMA_VERSION, ContextSummary, Reproducibility, ReportDocument, context_probabilities,
+    )
+    from .simulation import GENERATOR_NAME
+
     inputs = {label: ContextSummary(p_hat=p) for label, p in context_probabilities(triple).items()}
     return ReportDocument(
         schema_version=SCHEMA_VERSION,
@@ -240,6 +232,9 @@ def _direct_document(triple: ContextTriple, analysis: TransitionAnalysis, seed: 
 
 
 def _cmd_analyze(args) -> int:
+    from .data import additivity_check, parse_counts, write_report
+    from .simulation import MAX_REPLICATES, estimate
+
     direct_flags = [args.p_s, args.p1p, args.p2p, args.p1, args.p2]
     file_mode = args.counts is not None
     if file_mode and any(v is not None for v in direct_flags):
@@ -266,7 +261,7 @@ def _cmd_analyze(args) -> int:
     else:
         triple = _flag_triple(args)
         doc = _direct_document(triple, analyze(triple), seed)
-    _write_output(args.output, write_report(doc))
+    _write_output(args.output, (write_report(doc),))
     return 0
 
 
@@ -292,6 +287,9 @@ def _truth_line(truth: ContextTriple) -> str:
 
 
 def _cmd_simulate(args) -> int:
+    from .data import _INTEGER_BOUND, write_counts
+    from .simulation import HyperbolicUrnScenario, TwoSlitScenario, sample_counts, scenario_truth
+
     if not 1 <= args.trials < _INTEGER_BOUND:
         raise _UsageError(f"--trials must be >= 1 and below 2**63, got {args.trials}")
     seed = _check_seed_flag(args.seed)
@@ -311,8 +309,8 @@ def _cmd_simulate(args) -> int:
     else:
         scenario = _flag_triple(args)
     table = sample_counts(scenario, args.trials, seed)
+    _write_output(args.output, (write_counts(table),))
     print(_truth_line(scenario_truth(scenario)), file=sys.stderr)
-    _write_output(args.output, write_counts(table))
     return 0
 
 
@@ -343,17 +341,24 @@ def _cmd_sweep(args) -> int:
     a = Probability(args.p1p, "--p1p")
     b = Probability(args.p2p, "--p2p")
     lo, hi = lambda_range(a, b)
-    if args.lambda_min < lo - ROUND_OFF or args.lambda_max > hi + ROUND_OFF:
+    # Reconstruction is monotone in lambda, so admissible endpoints admit every grid point.
+    try:
+        reconstruct_probability(a, b, args.lambda_min)
+        reconstruct_probability(a, b, args.lambda_max)
+    except (InadmissibleLambda, NonFinite):
         raise InadmissibleLambda(
             f"requested [{args.lambda_min}, {args.lambda_max}] exceeds the admissible "
             f"interval [{_g17(lo)}, {_g17(hi)}]"
-        )
-    lines = ["lambda,theta,regime,p_s"]
-    for lam in _linspace(args.lambda_min, args.lambda_max, args.steps):
-        regime = classify(lam)
-        p_s = reconstruct_probability(a, b, lam)
-        lines.append(f"{_g17(lam)},{_g17(regime.theta)},{regime.kind},{_g17(p_s)}")
-    _write_output(args.output, ("\n".join(lines) + "\n").encode("utf-8"))
+        ) from None
+
+    def lines():
+        yield b"lambda,theta,regime,p_s\n"
+        for lam in _linspace(args.lambda_min, args.lambda_max, args.steps):
+            regime = classify(lam)
+            p_s = reconstruct_probability(a, b, lam)
+            yield f"{_g17(lam)},{_g17(regime.theta)},{regime.kind},{_g17(p_s)}\n".encode("utf-8")
+
+    _write_output(args.output, lines())
     return 0
 
 

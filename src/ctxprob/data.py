@@ -19,38 +19,18 @@ returns a document equal to ``doc``.
 from __future__ import annotations
 
 import enum
+import errno
 import json
 import math
 import os
 import re
 import tempfile
 from dataclasses import dataclass
+from typing import Iterable
 
 from .amplitudes import ComplexAmplitude, SplitComplexAmplitude
 from .calculus import ContextTriple, Degenerate, DegenerateReason, Hyperbolic, Regime, Trigonometric
 from .errors import DegenerateVariance, ParseError, ZeroTrials
-
-__all__ = [
-    "CONTEXT_LABELS",
-    "context_probabilities",
-    "CountRow",
-    "CountTable",
-    "SCHEMA_VERSION",
-    "COUNTS_HEADER",
-    "ParseErrorKind",
-    "CountFile",
-    "AdditivityCheck",
-    "ContextSummary",
-    "WaveSummary",
-    "Reproducibility",
-    "ReportDocument",
-    "parse_counts",
-    "additivity_check",
-    "write_report",
-    "parse_report",
-    "write_counts",
-    "write_bytes_atomic",
-]
 
 CONTEXT_LABELS = ("S", "S1", "S2", "S1p", "S2p")
 _REQUIRED_LABELS = ("S", "S1p", "S2p")
@@ -601,20 +581,28 @@ def write_counts(table: CountTable) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def write_bytes_atomic(path, data: bytes) -> None:
-    """Write a file atomically and durably, with the mode a plain ``open`` gives.
+def write_bytes_atomic(path, chunks: Iterable[bytes]) -> None:
+    """Write byte chunks to a file atomically and durably, with the mode a plain ``open`` gives.
 
-    A temp file in the same directory is fsynced, renamed, then the directory fsynced.
+    A temp file in the same directory is fsynced, renamed, then the directory
+    fsynced.  A directory target, or a parent that cannot hold the temp file,
+    fails before any temp file exists, with an error that names ``path``.
     """
     path = os.fspath(path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(path) or "."
     umask = os.umask(0)
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ctxprob-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ctxprob-")
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as handle:
             os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

@@ -21,10 +21,6 @@ policy (NEP 19), so a seed's counts are fixed for a given numpy version.
 numpy is imported only by the code that draws (the substream constructor
 and the bootstrap), so scenarios, their truth and the constants load
 without it.
-
-The count model (:data:`CONTEXT_LABELS`, :class:`CountRow`,
-:class:`CountTable`) lives in :mod:`ctxprob.data`, the I/O layer; it is
-re-exported here because sampling produces and estimation consumes it.
 """
 
 from __future__ import annotations
@@ -48,22 +44,6 @@ from .errors import InvalidScenario, RegimeMismatch
 
 if TYPE_CHECKING:
     import numpy as np
-
-__all__ = [
-    "CONTEXT_LABELS",
-    "GENERATOR_NAME",
-    "CountRow",
-    "CountTable",
-    "DirectScenario",
-    "TwoSlitScenario",
-    "HyperbolicUrnScenario",
-    "Scenario",
-    "EstimationReport",
-    "scenario_truth",
-    "sample_counts",
-    "estimate",
-    "theta_recovery_error",
-]
 
 _STREAM_ID = {label: i for i, label in enumerate(CONTEXT_LABELS)}
 _BOOTSTRAP_STREAM_BASE = 16

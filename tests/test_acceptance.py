@@ -23,11 +23,9 @@ from ctxprob.calculus import (
     reconstruct_probability,
 )
 from ctxprob.cli import main
-from ctxprob.data import additivity_check
+from ctxprob.data import CountRow, CountTable, additivity_check
 from ctxprob.errors import InadmissibleLambda
 from ctxprob.simulation import (
-    CountRow,
-    CountTable,
     HyperbolicUrnScenario,
     TwoSlitScenario,
     estimate,

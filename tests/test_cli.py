@@ -5,15 +5,16 @@ import random
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ctxprob import cli
-from ctxprob.calculus import lambda_range
+from ctxprob.calculus import lambda_range, reconstruct_probability
 from ctxprob.cli import main
 from ctxprob.data import parse_report
-from ctxprob.errors import DegenerateRegime
+from ctxprob.errors import DegenerateRegime, InadmissibleLambda
 
 
 def run_cli(capsysbinary, *argv):
@@ -279,6 +280,31 @@ class TestSimulate:
         assert out.startswith(b"context,successes,trials\n")
 
 
+class TestUnwritableOutput:
+    ARGV = {
+        "analyze": ["analyze", "--p-s", "0.5", "--p1p", "0.25", "--p2p", "0.25"],
+        "simulate": ["simulate", "direct", "--p-s", "0.5", "--p1p", "0.25", "--p2p", "0.25",
+                     "--trials", "10"],
+        "sweep": ["sweep", "--p1p", "0.25", "--p2p", "0.25", "--lambda-min", "-1",
+                  "--lambda-max", "1", "--steps", "3"],
+    }
+
+    @pytest.mark.parametrize("target", ["missing-parent", "directory"])
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_one_io_line_naming_the_target(self, capsysbinary, tmp_path, command, target):
+        # one line: simulate's truth line is printed only after a successful write
+        out = tmp_path / "missing" / "x.out"
+        if target == "directory":
+            out = tmp_path / "out"
+            out.mkdir()
+        code, stdout, err = run_cli(capsysbinary, *self.ARGV[command], "--output", str(out))
+        assert code == 2 and stdout == b""
+        lines = err.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: io: "), lines
+        assert repr(str(out)) in lines[0] and ".ctxprob-" not in lines[0]
+        assert list(tmp_path.rglob(".ctxprob-*")) == []
+
+
 class TestPipeline:
     def test_regime_recovery_and_determinism(self, capsysbinary, tmp_path):
         counts = tmp_path / "counts.csv"
@@ -399,6 +425,67 @@ class TestSweep:
             "--lambda-min", "0", "--lambda-max", "1", "--steps", "2",
         )
         assert code == 3
+
+    def test_endpoint_beyond_round_off_names_the_interval(self, capsysbinary):
+        # 2*sqrt(a*b) = 2, so ROUND_OFF in p_s is half of ROUND_OFF in lambda
+        code, out, err = run_cli(
+            capsysbinary,
+            "sweep", "--p1p", "1", "--p2p", "1",
+            "--lambda-min", "-1.0000000000009", "--lambda-max", "-0.5", "--steps", "2",
+        )
+        assert code == 3 and out == b""
+        assert err == (b"error: inadmissible: requested [-1.0000000000009, -0.5] exceeds "
+                       b"the admissible interval [-1, -0.5]\n")
+
+    def test_infinite_endpoint_names_the_interval(self, capsysbinary):
+        code, _, err = run_cli(
+            capsysbinary,
+            "sweep", "--p1p", "0.25", "--p2p", "0.25",
+            "--lambda-min", "0", "--lambda-max", "inf", "--steps", "2",
+        )
+        assert code == 3
+        assert err == (b"error: inadmissible: requested [0.0, inf] exceeds "
+                       b"the admissible interval [-1, 1]\n")
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.25, 0.25), (0.01, 0.3)])
+    @pytest.mark.parametrize("units", [0.25, 0.5, 1.5, 4.0])
+    def test_endpoint_rule_is_reconstruction(self, capsysbinary, a, b, units):
+        """sweep accepts an endpoint exactly when reconstruct_probability does."""
+        lo, hi = lambda_range(a, b)
+        slack = 1e-12 / (2 * math.sqrt(a * b))  # ROUND_OFF in lambda units
+        for lam_min, lam_max in [(lo - units * slack, hi), (lo, hi + units * slack)]:
+            try:
+                reconstruct_probability(a, b, lam_min)
+                reconstruct_probability(a, b, lam_max)
+                expected = 0
+            except InadmissibleLambda:
+                expected = 3
+            code, out, err = run_cli(
+                capsysbinary,
+                "sweep", "--p1p", repr(a), "--p2p", repr(b), "--lambda-min", repr(lam_min),
+                "--lambda-max", repr(lam_max), "--steps", "5",
+            )
+            assert code == expected, err
+            if code == 0:
+                assert len(out.splitlines()) == 6
+            else:
+                assert b"exceeds the admissible interval" in err
+
+    def test_output_is_streamed(self, tmp_path):
+        import ctxprob.data  # noqa: F401  (its import is not the sweep's allocation)
+
+        path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--p1p", "0.2", "--p2p", "0.3", "--lambda-min", "-1",
+                "--lambda-max", "1", "--steps", "20000", "--output", str(path)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert len(path.read_bytes().splitlines()) == 20001
+        assert peak < size, (peak, size)
 
 
 class TestRange:

@@ -17,6 +17,8 @@ from ctxprob.data import (
     SCHEMA_VERSION,
     AdditivityCheck,
     ContextSummary,
+    CountRow,
+    CountTable,
     ParseErrorKind,
     ReportDocument,
     Reproducibility,
@@ -30,7 +32,6 @@ from ctxprob.data import (
     write_report,
 )
 from ctxprob.errors import DegenerateVariance, ParseError
-from ctxprob.simulation import CountRow, CountTable
 
 GOOD = "context,successes,trials\nS,9,10\nS1p,1,10\nS2p,1,10\n"
 
@@ -316,9 +317,9 @@ def test_context_probabilities_in_canonical_order():
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):
         target = tmp_path / "report.json"
-        write_bytes_atomic(target, b"first\n")
+        write_bytes_atomic(target, (b"first\n",))
         assert target.read_bytes() == b"first\n"
-        write_bytes_atomic(target, b"second\n")
+        write_bytes_atomic(target, (b"second\n",))
         assert target.read_bytes() == b"second\n"
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".ctxprob-")]
         assert leftovers == []
@@ -327,7 +328,7 @@ class TestAtomicWrite:
         target = tmp_path / "counts.csv"
         previous = os.umask(0o022)
         try:
-            write_bytes_atomic(target, b"data\n")
+            write_bytes_atomic(target, (b"data\n",))
         finally:
             os.umask(previous)
         assert stat.S_IMODE(target.stat().st_mode) == 0o644

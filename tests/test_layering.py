@@ -9,6 +9,8 @@ round-off slack is written once, as ``calculus.ROUND_OFF``.
 
 At run time, only sampling and the bootstrap load numpy: ``range``,
 ``sweep`` and direct-mode ``analyze`` run in a fresh interpreter without it.
+``import ctxprob`` alone loads no submodule, and ``range`` and ``sweep`` load
+only the calculus layer.
 """
 
 import ast
@@ -79,38 +81,57 @@ def test_one_round_off_literal():
 
 
 # The closed-form subcommands never draw, so they must not pay for importing numpy.
-_NUMPY_PROBE = """
+_PROBE = """
 import sys
 from ctxprob import cli
 code = cli.main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.partition(".")[0] == "ctxprob"), file=sys.stderr)
 print("numpy-loaded" if "numpy" in sys.modules else "numpy-absent", code, file=sys.stderr)
 """
 
-def _numpy_after_main(argv: list[str]) -> str:
-    """Run ``cli.main(argv)`` in a fresh interpreter; report whether numpy got loaded."""
+
+def _probe(argv: list[str], source: str = _PROBE) -> list[str]:
+    """Run ``source`` with ``argv`` in a fresh interpreter; return its stderr lines."""
     env = dict(os.environ)
     path = [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
     done = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, *argv],
+        [sys.executable, "-c", source, *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    return done.stderr.splitlines()[-1]
+    return done.stderr.splitlines()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["range", "--p1p", "0.1", "--p2p", "0.1"],
-        ["sweep", "--p1p", "0.1", "--p2p", "0.1", "--lambda-min", "-1", "--lambda-max", "4",
-         "--steps", "11"],
-        ["analyze", "--p-s", "0.9", "--p1p", "0.1", "--p2p", "0.1"],
-    ],
-    ids=["range", "sweep", "analyze-direct"],
-)
-def test_closed_form_subcommands_never_import_numpy(argv):
-    assert _numpy_after_main(argv) == "numpy-absent 0"
+def _numpy_after_main(argv: list[str]) -> str:
+    """Run ``cli.main(argv)`` in a fresh interpreter; report whether numpy got loaded."""
+    return _probe(argv)[-1]
+
+
+def test_import_ctxprob_loads_no_submodule():
+    source = ("import sys, ctxprob\n"
+              "print(*(m for m in sys.modules if 'ctxprob' in m), file=sys.stderr)")
+    assert _probe([], source) == ["ctxprob"]
+
+
+_CLOSED_FORM = {
+    "range": ["range", "--p1p", "0.1", "--p2p", "0.1"],
+    "sweep": ["sweep", "--p1p", "0.1", "--p2p", "0.1", "--lambda-min", "-1", "--lambda-max", "4",
+              "--steps", "11"],
+    "analyze-direct": ["analyze", "--p-s", "0.9", "--p1p", "0.1", "--p2p", "0.1"],
+}
+
+
+@pytest.mark.parametrize("name", ["range", "sweep"])
+def test_closed_form_subcommands_load_only_the_calculus(name):
+    loaded, numpy = _probe(_CLOSED_FORM[name])[-2:]
+    assert loaded.split() == ["ctxprob", "ctxprob.calculus", "ctxprob.cli", "ctxprob.errors"]
+    assert numpy == "numpy-absent 0"
+
+
+@pytest.mark.parametrize("name", list(_CLOSED_FORM))
+def test_closed_form_subcommands_never_import_numpy(name):
+    assert _numpy_after_main(_CLOSED_FORM[name]) == "numpy-absent 0"
 
 
 def test_simulate_imports_numpy():

@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxprob.calculus import Degenerate, Hyperbolic, Trigonometric
-from ctxprob.data import context_probabilities
+from ctxprob.data import CountRow, CountTable, context_probabilities
 from ctxprob import simulation
 from ctxprob.errors import InvalidScenario, RegimeMismatch
 from ctxprob.simulation import (
-    CountRow,
-    CountTable,
     DirectScenario,
     HyperbolicUrnScenario,
     TwoSlitScenario,

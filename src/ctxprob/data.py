@@ -438,7 +438,13 @@ def _opt_float(value, name: str) -> float | None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _bad_document(f"{name} must be a number or null, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise _bad_document(f"{name} must be finite, got {value!r}")
+    return x
 
 
 def _req_float(value, name: str) -> float:

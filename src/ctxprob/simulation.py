@@ -145,7 +145,8 @@ class EstimationReport:
     """Point analysis plus bootstrap uncertainty for one count table.
 
     ``lambda_interval`` and the per-context ``context_intervals`` are
-    empirical percentile intervals at level ``confidence``;
+    percentile intervals at level ``confidence``, read from the sorted
+    replicates by Hyndman-Fan type 7 (numpy's default ``linear`` quantile);
     ``regime_stability`` is the fraction of replicates classified like the
     point estimate; ``theta_std`` is the bootstrap standard deviation of the
     phase among regime-matching replicates.  All of these are None when
@@ -195,6 +196,24 @@ def sample_counts(scenario: Scenario, trials_per_context: int, seed: int = 0) ->
     return CountTable(tuple(rows))
 
 
+def _linear_quantiles(sorted_values: np.ndarray, levels: tuple[float, ...]) -> list:
+    """Hyndman-Fan type 7 quantiles along the last axis of sorted, NaN-free data.
+
+    numpy's default ``linear`` method step for step, so bit-identical to it:
+    ``v = (n - 1) * q`` lies between order statistics ``floor(v)`` and
+    ``floor(v) + 1``; once ``v >= n - 1`` both are the last element and the
+    weight ``g`` is measured from index -1, as numpy does.
+    """
+    n = sorted_values.shape[-1]
+    values = []
+    for q in levels:
+        v = (n - 1) * q
+        lo, hi = (-1, -1) if v >= n - 1 else (math.floor(v), math.floor(v) + 1)
+        a, b, g = sorted_values[..., lo], sorted_values[..., hi], v - lo
+        values.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+    return values
+
+
 def estimate(
     counts: CountTable,
     replicates: int = 1000,
@@ -207,11 +226,11 @@ def estimate(
     calculus.  Uncertainty comes from a parametric bootstrap: each context's
     successes are redrawn from Binomial(trials, p_hat) on a dedicated
     substream, the coefficient is recomputed per replicate, and intervals
-    are empirical percentiles (linear interpolation).  A zero post-transition
-    proportion is flagged as a degenerate point regime, never raised;
-    replicates with a degenerate denominator carry no coefficient and are
-    classified degenerate for stability purposes.  ``replicates`` lies in
-    [0, :data:`MAX_REPLICATES`].
+    are Hyndman-Fan type 7 percentiles (numpy's default ``linear``) of the
+    sorted replicates.  A zero post-transition proportion is flagged as a
+    degenerate point regime, never raised; replicates with a degenerate
+    denominator carry no coefficient and are classified degenerate for
+    stability purposes.  ``replicates`` lies in [0, :data:`MAX_REPLICATES`].
     """
     r = int(replicates)
     if r != replicates or not (0 <= r <= MAX_REPLICATES):
@@ -247,7 +266,7 @@ def estimate(
         .binomial(row.trials, p_hat[row.label], size=r) / row.trials
         for row in counts.rows
     ])
-    lows, highs = np.quantile(replicate_matrix, levels, axis=1)
+    lows, highs = _linear_quantiles(np.sort(replicate_matrix, axis=1), levels)
     context_intervals = {
         label: (lo, hi) for label, lo, hi in zip(labels, lows.tolist(), highs.tolist())
     }
@@ -270,7 +289,7 @@ def estimate(
 
     lambda_interval = None
     if point.lam is not None and bool(ok.any()):
-        lo, hi = np.quantile(lam_b[ok], levels)
+        lo, hi = _linear_quantiles(np.sort(lam_b[ok]), levels)
         lambda_interval = (float(lo), float(hi))
 
     theta_std = None

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import random
 import struct
 import subprocess
@@ -10,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ctxprob
 from ctxprob import cli
 from ctxprob.calculus import lambda_range, reconstruct_probability
 from ctxprob.cli import main
@@ -527,12 +529,21 @@ class TestAnalyzeStdinIntegerBounds:
         assert len(lines) == 1 and lines[0].startswith(b"error: parse: ")
 
 
+def _child_env() -> dict:
+    """The environment with the imported package's directory first on PYTHONPATH."""
+    env = dict(os.environ)
+    path = [os.path.dirname(os.path.dirname(ctxprob.__file__)), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
+    return env
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "ctxprob", "analyze", "--p-s", "0.9", "--p1p", "0.1", "--p2p", "0.1"],
             capture_output=True,
             check=False,
+            env=_child_env(),
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["lambda"] == pytest.approx(3.5, abs=1e-12)
@@ -542,6 +553,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "ctxprob", "analyze"],
             capture_output=True,
             check=False,
+            env=_child_env(),
         )
         assert result.returncode == 1
         assert result.stderr.startswith(b"error: usage:")

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import stat
@@ -232,6 +233,27 @@ class TestReportDocument:
         good = write_report(_minimal_doc()).decode()
         with pytest.raises(ParseError):
             parse_report(good.replace('"hyperbolic"', '"elliptic"'))
+
+    @pytest.mark.parametrize(
+        "token",
+        ["NaN", "Infinity", "-Infinity", "1e999", "-1e999",
+         pytest.param("1" + "0" * 400, id="overflowing-integer")],
+    )
+    @pytest.mark.parametrize(
+        "path",
+        [("delta",), ("lambda_interval", 0), ("inputs", "S", "p_hat"), ("wave", "components", 1)],
+        ids=lambda path: ".".join(map(str, path)),
+    )
+    def test_parse_rejects_non_finite_numbers(self, path, token):
+        # json.loads accepts these tokens, but write_report cannot write them back
+        tree = json.loads(write_report(_minimal_doc()))
+        node = tree
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = "<token>"
+        with pytest.raises(ParseError, match=path[0]) as info:
+            parse_report(json.dumps(tree).replace('"<token>"', token))
+        assert info.value.kind is ParseErrorKind.BAD_DOCUMENT
 
 
 # -- randomized round-trip -----------------------------------------------

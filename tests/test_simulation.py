@@ -1,5 +1,7 @@
 import cmath
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxprob.calculus import Degenerate, Hyperbolic, Trigonometric
-from ctxprob.data import CountRow, CountTable, context_probabilities
+from ctxprob.data import CONTEXT_LABELS, CountRow, CountTable, context_probabilities
 from ctxprob import simulation
 from ctxprob.errors import InvalidScenario, RegimeMismatch
 from ctxprob.simulation import (
@@ -294,3 +296,76 @@ class TestThetaRecoveryError:
         report = self._report(0.5, 0.0, 0.2)
         with pytest.raises(RegimeMismatch):
             theta_recovery_error(1.0, report)
+
+
+# Digest of ``repr(estimate(...))`` over seeded count tables: 3 and 5
+# contexts, trials from 1 to 2**62, zero and full proportions, and every
+# replicate count and confidence in the grids below.  The bootstrap draws come
+# from ``Generator.binomial``, so, like the byte goldens, the digest is fixed
+# for a given numpy version and ``GENERATOR_NAME``.
+ESTIMATE_DIGEST = "85bd3f60bbdffd18122483dd63082d9a1d76c7ddfffe99f82356d36e042d1b64"
+_DIGEST_REPLICATES = (1, 2, 3, 5, 17, 100, 1000)
+_DIGEST_CONFIDENCES = (0.5, 0.9, 0.95, 0.99)
+
+
+def _digest_tables():
+    rng = random.Random(20260107)
+    for _ in range(300):
+        labels = CONTEXT_LABELS if rng.random() < 0.5 else ("S", "S1p", "S2p")
+        rows = []
+        for label in labels:
+            trials = max(1, min(2**62, int(2.0 ** rng.uniform(0.0, 62.0))))
+            edge = rng.random()
+            successes = 0 if edge < 0.1 else trials if edge < 0.2 else rng.randint(0, trials)
+            rows.append(CountRow(label, successes, trials))
+        yield (
+            CountTable(tuple(rows)),
+            rng.choice(_DIGEST_REPLICATES),
+            rng.choice(_DIGEST_CONFIDENCES),
+            rng.randrange(2**64),
+        )
+
+
+def estimate_digest() -> str:
+    h = hashlib.sha256()
+    for table, replicates, confidence, seed in _digest_tables():
+        h.update(repr(estimate(table, replicates, confidence, seed)).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+class TestBootstrapIntervals:
+    def test_estimate_digest(self):
+        assert estimate_digest() == ESTIMATE_DIGEST
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
+    def test_linear_quantiles_match_numpy_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        rows = np.stack([
+            rng.normal(size=n),
+            rng.integers(0, 4, size=n) / 3.0,  # ties
+            np.full(n, 0.3),  # all equal
+            rng.binomial(7, 0.4, size=n) / 7.0,
+            -rng.random(size=n),
+        ])
+        levels = [0.0, 1.0]
+        for confidence in (0.5, 0.9, 0.95, 0.99, 1.0 - 1e-9):
+            q_lo = (1.0 - confidence) / 2.0
+            levels += [q_lo, 1.0 - q_lo]
+        levels = tuple(levels)
+        want = np.quantile(rows, levels, axis=1)
+        got = np.array(simulation._linear_quantiles(np.sort(rows, axis=1), levels))
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        for row in rows:
+            want = np.quantile(row, levels)
+            got = np.array(simulation._linear_quantiles(np.sort(row), levels))
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_linear_quantiles_keep_numpy_signed_zeros(self):
+        # at v >= n - 1 numpy measures the weight from index -1, which decides
+        # the sign of a zero result
+        levels = (0.0, 0.5, 1.0)
+        for n in (1, 2, 3):
+            row = np.full(n, -0.0)
+            got = np.array(simulation._linear_quantiles(row, levels))
+            assert got.view(np.uint64).tolist() == np.quantile(row, levels).view(np.uint64).tolist()

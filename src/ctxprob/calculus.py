@@ -263,15 +263,13 @@ def reconstruct_probability(p1_prime, p2_prime, lam: float) -> Probability:
     x = float(lam)
     if not math.isfinite(x):
         raise NonFinite(f"lambda must be finite, got {lam!r}")
-    try:
-        value = a + b + _denominator(a, b) * x
-    except DegenerateDenominator:
-        value = a + b  # a zero reference probability removes the interference term
+    # A zero or underflowing product leaves a + b: 0.0 * x is a signed zero for finite x.
+    value = a + b + 2.0 * math.sqrt(a * b) * x
     if value < -ROUND_OFF or value > 1.0 + ROUND_OFF:
         raise InadmissibleLambda(
             f"lambda={x!r} maps ({a!r}, {b!r}) to {value!r}, outside [0, 1]"
         )
-    return Probability(min(max(value, 0.0), 1.0))
+    return Probability(value)
 
 
 def lambda_range(p1_prime, p2_prime) -> tuple[float, float]:

@@ -17,14 +17,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .calculus import (
     ContextTriple,
     Degenerate,
     Hyperbolic,
     Probability,
-    TransitionAnalysis,
     analyze,
     classify,
     lambda_range,
@@ -33,10 +32,6 @@ from .calculus import (
 from .errors import CtxprobError, InadmissibleLambda, NonFinite, ParseError
 
 # range and sweep need only the calculus; each command imports the rest itself.
-if TYPE_CHECKING:
-    from .data import AdditivityCheck, CountTable, ReportDocument, WaveSummary
-    from .simulation import EstimationReport
-
 DEFAULT_SEED = 0
 DEFAULT_REPLICATES = 1000
 DEFAULT_CONFIDENCE = 0.95
@@ -165,75 +160,13 @@ def _write_output(path: str, chunks: Iterable[bytes]) -> None:
         write_bytes_atomic(path, chunks)
 
 
-def _wave_summary(p1_prime, p2_prime, analysis: TransitionAnalysis) -> WaveSummary | None:
-    from .amplitudes import wave_from_analysis
-    from .data import WaveSummary
-
-    if isinstance(analysis.regime, Degenerate):
-        return None
-    wave = wave_from_analysis(p1_prime, p2_prime, analysis)
-    return WaveSummary(wave.kind, wave.components)
-
-
-def _counts_document(
-    counts: CountTable,
-    report: EstimationReport,
-    additivity: AdditivityCheck | None,
-) -> ReportDocument:
-    from .data import SCHEMA_VERSION, ContextSummary, Reproducibility, ReportDocument
-    from .simulation import GENERATOR_NAME
-
-    inputs = {
-        row.label: ContextSummary(
-            p_hat=row.proportion,
-            successes=row.successes,
-            trials=row.trials,
-            interval=report.context_intervals.get(row.label),
-        )
-        for row in counts.rows
-    }
-    return ReportDocument(
-        schema_version=SCHEMA_VERSION,
-        inputs=inputs,
-        delta=report.point.delta,
-        lam=report.point.lam,
-        regime=report.point.regime,
-        lambda_interval=report.lambda_interval,
-        regime_stability=report.regime_stability,
-        additivity=additivity,
-        wave=_wave_summary(counts.proportion("S1p"), counts.proportion("S2p"), report.point),
-        reproducibility=Reproducibility(
-            seed=report.seed, replicates=report.replicates, generator_name=GENERATOR_NAME
-        ),
-    )
-
-
-def _direct_document(triple: ContextTriple, analysis: TransitionAnalysis, seed: int) -> ReportDocument:
-    from .data import (
-        SCHEMA_VERSION, ContextSummary, Reproducibility, ReportDocument, context_probabilities,
-    )
-    from .simulation import GENERATOR_NAME
-
-    inputs = {label: ContextSummary(p_hat=p) for label, p in context_probabilities(triple).items()}
-    return ReportDocument(
-        schema_version=SCHEMA_VERSION,
-        inputs=inputs,
-        delta=analysis.delta,
-        lam=analysis.lam,
-        regime=analysis.regime,
-        lambda_interval=None,
-        regime_stability=None,
-        additivity=None,
-        wave=_wave_summary(triple.p1_prime, triple.p2_prime, analysis),
-        reproducibility=Reproducibility(
-            seed=seed, replicates=0, generator_name=GENERATOR_NAME
-        ),
-    )
-
-
 def _cmd_analyze(args) -> int:
-    from .data import additivity_check, parse_counts, write_report
-    from .simulation import MAX_REPLICATES, estimate
+    from .amplitudes import wave_from_analysis
+    from .data import (
+        SCHEMA_VERSION, ContextSummary, ReportDocument, Reproducibility, WaveSummary,
+        additivity_check, context_probabilities, parse_counts, write_report,
+    )
+    from .simulation import GENERATOR_NAME, MAX_REPLICATES, estimate
 
     direct_flags = [args.p_s, args.p1p, args.p2p, args.p1, args.p2]
     file_mode = args.counts is not None
@@ -253,14 +186,42 @@ def _cmd_analyze(args) -> int:
         raise _UsageError(f"--confidence must lie in (0, 1), got {confidence}")
     seed = _check_seed_flag(args.seed)
 
+    # The modes differ in their inputs, point analysis, wave reference pair and bootstrap fields.
     if file_mode:
         source = "<stdin>" if args.counts == "-" else args.counts
         counts = parse_counts(_read_input(args.counts), source=source).table
         report = estimate(counts, replicates=replicates, confidence=confidence, seed=seed)
-        doc = _counts_document(counts, report, additivity_check(counts))
+        inputs = {
+            row.label: ContextSummary(
+                row.proportion, row.successes, row.trials, report.context_intervals[row.label]
+            )
+            for row in counts.rows
+        }
+        point, reference = report.point, (counts.proportion("S1p"), counts.proportion("S2p"))
+        lambda_interval, regime_stability = report.lambda_interval, report.regime_stability
+        additivity = additivity_check(counts)
     else:
         triple = _flag_triple(args)
-        doc = _direct_document(triple, analyze(triple), seed)
+        inputs = {label: ContextSummary(p) for label, p in context_probabilities(triple).items()}
+        point, reference = analyze(triple), (triple.p1_prime, triple.p2_prime)
+        lambda_interval = regime_stability = additivity = None
+        replicates = 0
+    wave = None
+    if not isinstance(point.regime, Degenerate):
+        amplitude = wave_from_analysis(*reference, point)
+        wave = WaveSummary(amplitude.kind, amplitude.components)
+    doc = ReportDocument(
+        schema_version=SCHEMA_VERSION,
+        inputs=inputs,
+        delta=point.delta,
+        lam=point.lam,
+        regime=point.regime,
+        lambda_interval=lambda_interval,
+        regime_stability=regime_stability,
+        additivity=additivity,
+        wave=wave,
+        reproducibility=Reproducibility(seed, replicates, GENERATOR_NAME),
+    )
     _write_output(args.output, (write_report(doc),))
     return 0
 

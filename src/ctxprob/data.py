@@ -282,6 +282,16 @@ class ContextSummary:
     trials: int | None = None
     interval: tuple[float, float] | None = None
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.p_hat <= 1.0:
+            raise ValueError(f"p_hat must lie in [0, 1], got {self.p_hat!r}")
+        if (self.successes is None) != (self.trials is None):
+            raise ValueError("successes and trials must be both present or both null")
+        if self.trials is not None and not 1 <= self.trials < _INTEGER_BOUND:
+            raise ValueError(f"trials must lie in [1, 2**63), got {self.trials!r}")
+        if self.trials is not None and not 0 <= self.successes <= self.trials:
+            raise ValueError(f"successes must lie in [0, trials], got {self.successes!r}")
+
 
 @dataclass(frozen=True)
 class WaveSummary:
@@ -306,6 +316,12 @@ class Reproducibility:
     seed: int
     replicates: int
     generator_name: str
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
+        if self.replicates < 0:
+            raise ValueError(f"replicates must be >= 0, got {self.replicates!r}")
 
 
 @dataclass(frozen=True)
@@ -332,6 +348,8 @@ class ReportDocument:
         missing = [label for label in _REQUIRED_LABELS if label not in self.inputs]
         if missing:
             raise ValueError(f"missing required context summaries {missing!r}")
+        if self.regime_stability is not None and not 0.0 <= self.regime_stability <= 1.0:
+            raise ValueError(f"regime_stability must lie in [0, 1], got {self.regime_stability!r}")
         ordered = {
             label: self.inputs[label] for label in CONTEXT_LABELS if label in self.inputs
         }
@@ -429,69 +447,120 @@ def write_report(doc: ReportDocument) -> bytes:
     return (_render(_document_tree(doc), 0) + "\n").encode("utf-8")
 
 
-def _bad_document(message: str, line: int = 1) -> ParseError:
-    return ParseError(message, line=line, kind=ParseErrorKind.BAD_DOCUMENT)
+# Readers of the parsed JSON tree: each defect raises ValueError, which
+# parse_report turns into one BAD_DOCUMENT error.
 
 
-def _opt_float(value, name: str) -> float | None:
-    if value is None:
-        return None
+def _read_real(value, name: str, or_null: str = "") -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _bad_document(f"{name} must be a number or null, got {value!r}")
+        raise ValueError(f"{name} must be a number{or_null}, got {value!r}")
     try:
         x = float(value)
     except OverflowError:
         x = math.inf
     if not math.isfinite(x):
-        raise _bad_document(f"{name} must be finite, got {value!r}")
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return x
 
 
-def _req_float(value, name: str) -> float:
-    x = _opt_float(value, name)
-    if x is None:
-        raise _bad_document(f"{name} must be a number, got null")
-    return x
-
-
-def _opt_int(value, name: str) -> int | None:
-    if value is None:
-        return None
+def _read_int(value, name: str, or_null: str = "") -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _bad_document(f"{name} must be an integer or null, got {value!r}")
+        raise ValueError(f"{name} must be an integer{or_null}, got {value!r}")
     return value
 
 
-def _opt_pair(value, name: str) -> tuple[float, float] | None:
-    if value is None:
-        return None
+def _read_pair(value, name: str, or_null: str = "") -> tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2:
-        raise _bad_document(f"{name} must be a two-element array or null, got {value!r}")
-    return (_req_float(value[0], name), _req_float(value[1], name))
+        raise ValueError(f"{name} must be a two-element array{or_null}, got {value!r}")
+    return (_read_real(value[0], name), _read_real(value[1], name))
 
 
-def _parse_regime(node) -> Regime:
+def _or_null(read, value, name: str):
+    return None if value is None else read(value, name, " or null")
+
+
+def _read_regime(node) -> Regime:
     if not isinstance(node, dict) or "kind" not in node:
-        raise _bad_document(f"regime must be an object with a kind, got {node!r}")
+        raise ValueError(f"regime must be an object with a kind, got {node!r}")
     kind = node["kind"]
     if kind == Trigonometric.kind:
-        return Trigonometric(theta=_req_float(node.get("theta"), "regime.theta"))
+        return Trigonometric(theta=_read_real(node.get("theta"), "regime.theta"))
     if kind == Hyperbolic.kind:
-        sign = node.get("sign")
-        if sign not in (-1, 1):
-            raise _bad_document(f"regime.sign must be +1 or -1, got {sign!r}")
-        return Hyperbolic(sign=sign, theta=_req_float(node.get("theta"), "regime.theta"))
+        return Hyperbolic(node.get("sign"), _read_real(node.get("theta"), "regime.theta"))
     if kind == Degenerate.kind:
         try:
-            reason = DegenerateReason(node.get("reason"))
+            return Degenerate(reason=DegenerateReason(node.get("reason")))
         except ValueError:
-            raise _bad_document(f"unknown degeneracy reason {node.get('reason')!r}") from None
-        return Degenerate(reason=reason)
-    raise _bad_document(f"unknown regime kind {kind!r}")
+            raise ValueError(f"unknown degeneracy reason {node.get('reason')!r}") from None
+    raise ValueError(f"unknown regime kind {kind!r}")
+
+
+def _read_document(obj) -> ReportDocument:
+    if not isinstance(obj, dict):
+        raise ValueError("report root must be an object")
+    expected = {
+        "schema_version", "inputs", "delta", "lambda", "regime", "lambda_interval",
+        "regime_stability", "additivity_check", "wave", "reproducibility",
+    }
+    if set(obj) != expected:
+        raise ValueError(f"report keys {sorted(set(obj) ^ expected)!r} missing or unexpected")
+    if not isinstance(obj["inputs"], dict):
+        raise ValueError("inputs must be an object")
+    inputs = {}
+    for label, node in obj["inputs"].items():
+        if not isinstance(node, dict):
+            raise ValueError(f"inputs.{label} must be an object, got {node!r}")
+        inputs[label] = ContextSummary(
+            p_hat=_read_real(node.get("p_hat"), f"inputs.{label}.p_hat"),
+            successes=_or_null(_read_int, node.get("successes"), f"inputs.{label}.successes"),
+            trials=_or_null(_read_int, node.get("trials"), f"inputs.{label}.trials"),
+            interval=_or_null(_read_pair, node.get("interval"), f"inputs.{label}.interval"),
+        )
+    add_node = obj["additivity_check"]
+    if not isinstance(add_node, dict) or not isinstance(add_node.get("present"), bool):
+        raise ValueError("additivity_check must carry a boolean 'present'")
+    additivity = None
+    if add_node["present"]:
+        consistent = add_node.get("consistent")
+        if not isinstance(consistent, bool):
+            raise ValueError("additivity_check.consistent must be a boolean")
+        additivity = AdditivityCheck(
+            z_statistic=_read_real(add_node.get("z_statistic"), "additivity_check.z_statistic"),
+            consistent=consistent,
+        )
+    wave = obj["wave"]
+    if wave is not None:
+        if not isinstance(wave, dict):
+            raise ValueError(f"wave must be an object or null, got {wave!r}")
+        wave = WaveSummary(wave.get("kind"), _read_pair(wave.get("components"), "wave.components"))
+    repro = obj["reproducibility"]
+    if not isinstance(repro, dict) or not isinstance(repro.get("generator_name"), str):
+        raise ValueError("reproducibility must be an object with a string generator_name")
+    return ReportDocument(
+        schema_version=obj["schema_version"],
+        inputs=inputs,
+        delta=_read_real(obj["delta"], "delta"),
+        lam=_or_null(_read_real, obj["lambda"], "lambda"),
+        regime=_read_regime(obj["regime"]),
+        lambda_interval=_or_null(_read_pair, obj["lambda_interval"], "lambda_interval"),
+        regime_stability=_or_null(_read_real, obj["regime_stability"], "regime_stability"),
+        additivity=additivity,
+        wave=wave,
+        reproducibility=Reproducibility(
+            seed=_read_int(repro.get("seed"), "reproducibility.seed"),
+            replicates=_read_int(repro.get("replicates"), "reproducibility.replicates"),
+            generator_name=repro["generator_name"],
+        ),
+    )
 
 
 def parse_report(data: bytes | str) -> ReportDocument:
-    """Parse a serialized report back into an equal :class:`ReportDocument`."""
+    """Parse a serialized report back into an equal :class:`ReportDocument`.
+
+    Every defect raises :class:`ParseError`: ``ENCODING`` for bytes that are
+    not UTF-8, ``BAD_DOCUMENT`` for the rest.  The document types check their
+    own fields, so a report that parses is one that :func:`write_report` can write.
+    """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -501,83 +570,16 @@ def parse_report(data: bytes | str) -> ReportDocument:
             ) from None
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer past int()'s digit limit
         raise ParseError(
-            f"invalid report JSON: {e.msg}", line=e.lineno, kind=ParseErrorKind.BAD_DOCUMENT
+            f"invalid report JSON: {getattr(e, 'msg', e)}",
+            line=getattr(e, "lineno", 1),
+            kind=ParseErrorKind.BAD_DOCUMENT,
         ) from None
-    if not isinstance(obj, dict):
-        raise _bad_document("report root must be an object")
-    expected = {
-        "schema_version", "inputs", "delta", "lambda", "regime", "lambda_interval",
-        "regime_stability", "additivity_check", "wave", "reproducibility",
-    }
-    if set(obj) != expected:
-        raise _bad_document(
-            f"report keys {sorted(set(obj) ^ expected)!r} missing or unexpected"
-        )
-    if obj["schema_version"] != SCHEMA_VERSION:
-        raise _bad_document(f"unsupported schema version {obj['schema_version']!r}")
-    if not isinstance(obj["inputs"], dict):
-        raise _bad_document("inputs must be an object")
-    inputs = {}
-    for label, node in obj["inputs"].items():
-        if label not in CONTEXT_LABELS or not isinstance(node, dict):
-            raise _bad_document(f"bad input entry {label!r}")
-        inputs[label] = ContextSummary(
-            p_hat=_req_float(node.get("p_hat"), f"inputs.{label}.p_hat"),
-            successes=_opt_int(node.get("successes"), f"inputs.{label}.successes"),
-            trials=_opt_int(node.get("trials"), f"inputs.{label}.trials"),
-            interval=_opt_pair(node.get("interval"), f"inputs.{label}.interval"),
-        )
-    add_node = obj["additivity_check"]
-    if not isinstance(add_node, dict) or not isinstance(add_node.get("present"), bool):
-        raise _bad_document("additivity_check must carry a boolean 'present'")
-    additivity = None
-    if add_node["present"]:
-        consistent = add_node.get("consistent")
-        if not isinstance(consistent, bool):
-            raise _bad_document("additivity_check.consistent must be a boolean")
-        additivity = AdditivityCheck(
-            z_statistic=_req_float(add_node.get("z_statistic"), "additivity_check.z_statistic"),
-            consistent=consistent,
-        )
-    wave_node = obj["wave"]
-    wave = None
-    if wave_node is not None:
-        if not isinstance(wave_node, dict):
-            raise _bad_document("wave must be an object or null")
-        pair = _opt_pair(wave_node.get("components"), "wave.components")
-        if pair is None:
-            raise _bad_document("wave.components must be a two-element array")
-        try:
-            wave = WaveSummary(kind=wave_node.get("kind"), components=pair)
-        except (TypeError, ValueError) as e:
-            raise _bad_document(str(e)) from None
-    repro_node = obj["reproducibility"]
-    if not isinstance(repro_node, dict):
-        raise _bad_document("reproducibility must be an object")
-    seed = _opt_int(repro_node.get("seed"), "reproducibility.seed")
-    replicates = _opt_int(repro_node.get("replicates"), "reproducibility.replicates")
-    generator_name = repro_node.get("generator_name")
-    if seed is None or replicates is None or not isinstance(generator_name, str):
-        raise _bad_document("reproducibility must carry seed, replicates and generator_name")
     try:
-        return ReportDocument(
-            schema_version=obj["schema_version"],
-            inputs=inputs,
-            delta=_req_float(obj["delta"], "delta"),
-            lam=_opt_float(obj["lambda"], "lambda"),
-            regime=_parse_regime(obj["regime"]),
-            lambda_interval=_opt_pair(obj["lambda_interval"], "lambda_interval"),
-            regime_stability=_opt_float(obj["regime_stability"], "regime_stability"),
-            additivity=additivity,
-            wave=wave,
-            reproducibility=Reproducibility(
-                seed=seed, replicates=replicates, generator_name=generator_name
-            ),
-        )
+        return _read_document(obj)
     except ValueError as e:
-        raise _bad_document(str(e)) from None
+        raise ParseError(str(e), line=1, kind=ParseErrorKind.BAD_DOCUMENT) from None
 
 
 def write_counts(table: CountTable) -> bytes:

@@ -296,10 +296,11 @@ def estimate(
     if point.lam is not None:
         match = lam_b[same_regime]
         if match.size >= 2:
+            # the same-regime mask keeps |match| <= 1 (trigonometric) or > 1 (hyperbolic)
             if isinstance(regime, Trigonometric):
-                thetas = np.arccos(np.clip(match, -1.0, 1.0))
+                thetas = np.arccos(match)
             else:
-                thetas = np.arccosh(np.maximum(np.abs(match), 1.0))
+                thetas = np.arccosh(np.abs(match))
             theta_std = float(np.std(thetas, ddof=1))
 
     return EstimationReport(

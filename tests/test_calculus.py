@@ -177,6 +177,17 @@ class TestReconstruct:
         assert reconstruct_probability(0.1, 0.1, 4.0) == 1.0
         assert reconstruct_probability(0.5, 0.5, -1.0) == 0.0
 
+    @pytest.mark.parametrize("lam", [-1e300, -3.0, 0.0, 3.0, 1e300])
+    def test_zero_reference_leaves_the_sum(self, lam):
+        # no interference term without a second path, whatever the coefficient
+        for a, b in ((0.0, 0.5), (0.5, 0.0)):
+            assert reconstruct_probability(a, b, lam) == 0.5
+        zero = reconstruct_probability(0.0, 0.0, lam)
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
+    def test_underflowing_reference_product_leaves_the_sum(self):
+        assert reconstruct_probability(1e-320, 1e-320, 1e300) == 2e-320
+
 
 class TestLambdaRange:
     def test_examples(self):

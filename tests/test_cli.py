@@ -172,6 +172,20 @@ class TestAnalyzeFile:
         assert out == b""
         assert err == b"error: usage: --replicates must be at most 1000000, got 1000000000000\n"
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--replicates", "-1", "--replicates must be >= 0, got -1"),
+            ("--confidence", "1.5", "--confidence must lie in (0, 1), got 1.5"),
+            ("--seed", "-1", "--seed must be a 64-bit unsigned integer, got -1"),
+        ],
+    )
+    def test_bad_run_flag_is_one_usage_line(self, capsysbinary, tmp_path, flag, value, message):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("context,successes,trials\nS,900,1000\nS1p,100,1000\nS2p,100,1000\n")
+        code, out, err = run_cli(capsysbinary, "analyze", str(counts), flag, value)
+        assert (code, out, err) == (1, b"", f"error: usage: {message}\n".encode())
+
     def test_missing_file_exits_2(self, capsysbinary, tmp_path):
         code, _, err = run_cli(capsysbinary, "analyze", str(tmp_path / "nope.csv"))
         assert code == 2

@@ -256,6 +256,153 @@ class TestReportDocument:
         assert info.value.kind is ParseErrorKind.BAD_DOCUMENT
 
 
+_DELETE = object()
+
+
+def _edited_report(path, value) -> str:
+    """The minimal document's JSON with the node at ``path`` replaced (or deleted)."""
+    tree = json.loads(write_report(_minimal_doc()))
+    if not path:
+        return json.dumps(value)
+    node = tree
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return json.dumps(tree)
+
+
+def _assert_bad_document(text, fragment):
+    with pytest.raises(ParseError) as info:
+        parse_report(text)
+    message = str(info.value)
+    assert info.value.kind is ParseErrorKind.BAD_DOCUMENT
+    assert message.startswith("line 1: ") and message.count("line 1: ") == 1, message
+    assert fragment in message, message
+
+
+# One case per raise on parse_report's path, in the parser or in a document type.
+PARSE_REPORT_RAISES = [
+    ("root", (), [], "report root must be an object"),
+    ("missing-key", ("delta",), _DELETE, "report keys ['delta'] missing"),
+    ("unexpected-key", ("extra",), 1, "report keys ['extra'] missing or unexpected"),
+    ("schema", ("schema_version",), "2", "unsupported schema version '2'"),
+    ("inputs", ("inputs",), [], "inputs must be an object"),
+    ("input-entry", ("inputs", "S"), 1, "inputs.S must be an object"),
+    ("input-label", ("inputs", "Q"), {"p_hat": 0.5}, "unknown context labels ['Q']"),
+    ("input-missing", ("inputs", "S"), _DELETE, "missing required context summaries ['S']"),
+    ("p_hat", ("inputs", "S", "p_hat"), "x", "inputs.S.p_hat must be a number, got 'x'"),
+    ("p_hat-null", ("inputs", "S", "p_hat"), None, "inputs.S.p_hat must be a number, got None"),
+    ("successes", ("inputs", "S", "successes"), 1.5, "inputs.S.successes must be an integer or null"),
+    ("trials", ("inputs", "S", "trials"), "x", "inputs.S.trials must be an integer or null"),
+    ("interval", ("inputs", "S", "interval"), [0.1], "inputs.S.interval must be a two-element array or null"),
+    ("interval-item", ("inputs", "S", "interval", 1), "x", "inputs.S.interval must be a number, got 'x'"),
+    ("delta", ("delta",), "x", "delta must be a number, got 'x'"),
+    ("delta-infinite", ("delta",), math.inf, "delta must be finite, got inf"),
+    ("lambda", ("lambda",), "x", "lambda must be a number or null, got 'x'"),
+    ("regime", ("regime",), 5, "regime must be an object with a kind"),
+    ("regime-kind", ("regime", "kind"), "zz", "unknown regime kind 'zz'"),
+    ("regime-theta", ("regime", "theta"), "x", "regime.theta must be a number, got 'x'"),
+    ("regime-sign", ("regime", "sign"), 2, "hyperbolic sign must be +1 or -1, got 2"),
+    ("regime-phase", ("regime",), {"kind": "trigonometric", "theta": 4.0}, "trigonometric phase"),
+    ("regime-reason", ("regime",), {"kind": "degenerate", "reason": "zz"}, "unknown degeneracy reason 'zz'"),
+    ("lambda_interval", ("lambda_interval",), [1.0], "lambda_interval must be a two-element array or null"),
+    ("regime_stability", ("regime_stability",), "x", "regime_stability must be a number or null"),
+    ("additivity", ("additivity_check",), {"present": 1}, "additivity_check must carry a boolean 'present'"),
+    ("consistent", ("additivity_check",), {"present": True, "z_statistic": 1.0, "consistent": 1},
+     "additivity_check.consistent must be a boolean"),
+    ("z_statistic", ("additivity_check",), {"present": True, "z_statistic": "x", "consistent": True},
+     "additivity_check.z_statistic must be a number"),
+    ("wave", ("wave",), 5, "wave must be an object or null"),
+    ("wave-components", ("wave", "components"), [1.0], "wave.components must be a two-element array, got"),
+    ("wave-kind", ("wave", "kind"), "zz", "wave kind must be 'complex' or 'split-complex', got 'zz'"),
+    ("reproducibility", ("reproducibility",), [], "reproducibility must be an object"),
+    ("generator_name", ("reproducibility", "generator_name"), 5, "string generator_name"),
+    ("seed", ("reproducibility", "seed"), "x", "reproducibility.seed must be an integer, got 'x'"),
+    ("replicates", ("reproducibility", "replicates"), None, "reproducibility.replicates must be an integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,fragment", [case[1:] for case in PARSE_REPORT_RAISES],
+    ids=[case[0] for case in PARSE_REPORT_RAISES],
+)
+def test_parse_report_raises_once_per_defect(path, value, fragment):
+    _assert_bad_document(_edited_report(path, value), fragment)
+
+
+@pytest.mark.parametrize(
+    "text", ["not json", "1" * 5000], ids=["not-json", "integer-past-digit-limit"]
+)
+def test_parse_report_rejects_unreadable_json(text):
+    _assert_bad_document(text, "invalid report JSON")
+
+
+def test_parse_report_rejects_invalid_utf8():
+    with pytest.raises(ParseError) as info:
+        parse_report(write_report(_minimal_doc()) + b"\xff")
+    assert info.value.kind is ParseErrorKind.ENCODING
+    assert str(info.value) == "line 1: report is not valid UTF-8"
+
+
+# Values analyze can never write: each type refuses them, so parsing does too.
+OUT_OF_RANGE = [
+    ("seed", ("reproducibility", "seed"), 10**30, "seed must lie in [0, 2**64)"),
+    ("replicates", ("reproducibility", "replicates"), -5, "replicates must be >= 0"),
+    ("trials-zero", ("inputs", "S", "trials"), 0, "trials must lie in [1, 2**63)"),
+    ("trials-bound", ("inputs", "S", "trials"), 2**63, "trials must lie in [1, 2**63)"),
+    ("successes", ("inputs", "S", "successes"), 10**30, "successes must lie in [0, trials]"),
+    ("p_hat", ("inputs", "S", "p_hat"), 7.0, "p_hat must lie in [0, 1]"),
+    ("regime_stability", ("regime_stability",), -3.0, "regime_stability must lie in [0, 1]"),
+    ("successes-alone", ("inputs", "S", "trials"), None, "successes and trials must be both"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,fragment", [case[1:] for case in OUT_OF_RANGE],
+    ids=[case[0] for case in OUT_OF_RANGE],
+)
+def test_parse_report_refuses_out_of_range_values(path, value, fragment):
+    _assert_bad_document(_edited_report(path, value), fragment)
+
+
+@pytest.mark.parametrize(
+    "build,fragment",
+    [
+        pytest.param(lambda: Reproducibility(2**64, 0, "g"), "seed", id="seed-2**64"),
+        pytest.param(lambda: Reproducibility(-1, 0, "g"), "seed", id="seed-negative"),
+        pytest.param(lambda: Reproducibility(0, -5, "g"), "replicates", id="replicates"),
+        pytest.param(lambda: ContextSummary(7.0), "p_hat", id="p_hat"),
+        pytest.param(lambda: ContextSummary(math.nan), "p_hat", id="p_hat-nan"),
+        pytest.param(lambda: ContextSummary(0.5, 1), "successes and trials", id="successes-alone"),
+        pytest.param(lambda: ContextSummary(0.5, None, 10), "successes and trials", id="trials-alone"),
+        pytest.param(lambda: ContextSummary(0.5, 0, 0), "trials", id="trials-zero"),
+        pytest.param(lambda: ContextSummary(0.5, 11, 10), "successes", id="successes-above"),
+        pytest.param(lambda: ContextSummary(0.5, -1, 10), "successes", id="successes-negative"),
+        pytest.param(lambda: _minimal_doc(regime_stability=-3.0), "regime_stability", id="stability-low"),
+        pytest.param(lambda: _minimal_doc(regime_stability=1.5), "regime_stability", id="stability-high"),
+    ],
+)
+def test_document_types_refuse_out_of_range_values(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()
+
+
+def test_document_types_accept_their_bounds():
+    doc = _minimal_doc(
+        inputs={
+            "S": ContextSummary(p_hat=1.0, successes=2**63 - 1, trials=2**63 - 1),
+            "S1p": ContextSummary(p_hat=0.0, successes=0, trials=1),
+            "S2p": ContextSummary(p_hat=0.0),
+        },
+        regime_stability=0.0,
+        reproducibility=Reproducibility(seed=2**64 - 1, replicates=0, generator_name="g"),
+    )
+    assert parse_report(write_report(doc)) == doc
+
+
 # -- randomized round-trip -----------------------------------------------
 
 finite_reals = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -263,12 +410,16 @@ unit_reals = st.floats(min_value=0.0, max_value=1.0)
 
 
 def _summary():
+    # successes and trials come as a pair, both null or 0 <= successes <= trials
+    counts = st.one_of(
+        st.just((None, None)),
+        st.integers(1, 10**9).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))),
+    )
     return st.builds(
-        ContextSummary,
-        p_hat=unit_reals,
-        successes=st.one_of(st.none(), st.integers(0, 10**9)),
-        trials=st.one_of(st.none(), st.integers(1, 10**9)),
-        interval=st.one_of(st.none(), st.tuples(unit_reals, unit_reals)),
+        lambda p_hat, pair, interval: ContextSummary(p_hat, *pair, interval),
+        unit_reals,
+        counts,
+        st.one_of(st.none(), st.tuples(unit_reals, unit_reals)),
     )
 
 

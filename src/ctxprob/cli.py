@@ -249,7 +249,7 @@ def _truth_line(truth: ContextTriple) -> str:
 
 def _cmd_simulate(args) -> int:
     from .data import _INTEGER_BOUND, write_counts
-    from .simulation import HyperbolicUrnScenario, TwoSlitScenario, sample_counts, scenario_truth
+    from .simulation import HyperbolicUrnScenario, TwoSlitScenario, sample_counts
 
     if not 1 <= args.trials < _INTEGER_BOUND:
         raise _UsageError(f"--trials must be >= 1 and below 2**63, got {args.trials}")
@@ -271,7 +271,7 @@ def _cmd_simulate(args) -> int:
         scenario = _flag_triple(args)
     table = sample_counts(scenario, args.trials, seed)
     _write_output(args.output, (write_counts(table),))
-    print(_truth_line(scenario_truth(scenario)), file=sys.stderr)
+    print(_truth_line(scenario), file=sys.stderr)
     return 0
 
 

@@ -29,7 +29,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .amplitudes import ComplexAmplitude, SplitComplexAmplitude
-from .calculus import ContextTriple, Degenerate, DegenerateReason, Hyperbolic, Regime, Trigonometric
+from .calculus import (
+    ContextTriple, Degenerate, DegenerateReason, Hyperbolic, Regime, TransitionAnalysis,
+    Trigonometric,
+)
 from .errors import DegenerateVariance, ParseError, ZeroTrials
 
 CONTEXT_LABELS = ("S", "S1", "S2", "S1p", "S2p")
@@ -53,7 +56,7 @@ _INTEGER_BOUND = 2**63
 
 @dataclass(frozen=True)
 class CountRow:
-    """Outcome counts of one context's run: successes out of trials."""
+    """Outcome counts of one context's run: successes out of trials below 2**63."""
 
     label: str
     successes: int
@@ -64,6 +67,8 @@ class CountRow:
             raise ValueError(f"unknown context label {self.label!r}")
         if int(self.trials) != self.trials or self.trials < 1:
             raise ZeroTrials(f"{self.label}: trials must be a positive integer, got {self.trials!r}")
+        if self.trials >= _INTEGER_BOUND:
+            raise ValueError(f"{self.label}: trials must be below 2**63, got {self.trials!r}")
         if int(self.successes) != self.successes or not (0 <= self.successes <= self.trials):
             raise ValueError(
                 f"{self.label}: successes must lie in [0, trials], got {self.successes!r}"
@@ -291,6 +296,8 @@ class ContextSummary:
             raise ValueError(f"trials must lie in [1, 2**63), got {self.trials!r}")
         if self.trials is not None and not 0 <= self.successes <= self.trials:
             raise ValueError(f"successes must lie in [0, trials], got {self.successes!r}")
+        if self.interval is not None and not 0.0 <= self.interval[0] <= self.interval[1] <= 1.0:
+            raise ValueError(f"interval must satisfy 0 <= lo <= hi <= 1, got {self.interval!r}")
 
 
 @dataclass(frozen=True)
@@ -350,6 +357,10 @@ class ReportDocument:
             raise ValueError(f"missing required context summaries {missing!r}")
         if self.regime_stability is not None and not 0.0 <= self.regime_stability <= 1.0:
             raise ValueError(f"regime_stability must lie in [0, 1], got {self.regime_stability!r}")
+        interval = self.lambda_interval
+        if interval is not None and not interval[0] <= interval[1]:
+            raise ValueError(f"lambda_interval must satisfy lo <= hi, got {interval!r}")
+        TransitionAnalysis(self.delta, self.lam, self.regime)  # ties regime to lam
         ordered = {
             label: self.inputs[label] for label in CONTEXT_LABELS if label in self.inputs
         }
@@ -536,7 +547,7 @@ def _read_document(obj) -> ReportDocument:
     repro = obj["reproducibility"]
     if not isinstance(repro, dict) or not isinstance(repro.get("generator_name"), str):
         raise ValueError("reproducibility must be an object with a string generator_name")
-    return ReportDocument(
+    doc = ReportDocument(
         schema_version=obj["schema_version"],
         inputs=inputs,
         delta=_read_real(obj["delta"], "delta"),
@@ -552,6 +563,15 @@ def _read_document(obj) -> ReportDocument:
             generator_name=repro["generator_name"],
         ),
     )
+    tree = _document_tree(doc)  # the writer's tree is the schema of the nested objects too
+    nested = [(f"inputs.{label}", obj["inputs"][label], tree["inputs"][label]) for label in inputs]
+    for key in ("regime", "additivity_check", "wave", "reproducibility"):
+        nested.append((key, obj[key], tree[key]))
+    for name, node, written in nested:
+        if written is not None and node.keys() != written.keys():
+            keys = sorted(node.keys() ^ written.keys())
+            raise ValueError(f"{name} keys {keys!r} missing or unexpected")
+    return doc
 
 
 def parse_report(data: bytes | str) -> ReportDocument:

@@ -1,13 +1,14 @@
 """Synthetic context-transition experiments with reproducible sampling.
 
-Three scenario families generate ground truth:
+A scenario is its ground truth: each of the three families returns the
+:class:`~ctxprob.calculus.ContextTriple` of its context probabilities.
 
-* :class:`DirectScenario` — explicit probabilities for every context; it is
+* :data:`DirectScenario` — explicit probabilities for every context; it is
   :class:`~ctxprob.calculus.ContextTriple` itself, validated once;
-* :class:`TwoSlitScenario` — two-path interference with amplitudes ``m1`` and
+* :func:`TwoSlitScenario` — two-path interference with amplitudes ``m1`` and
   ``m2 * e^{i*phase}``: per-path probabilities ``m1**2`` and ``m2**2``,
   combined probability ``|m1 + m2*e^{i*phase}|**2``;
-* :class:`HyperbolicUrnScenario` — a pre-transition pair that stays additive
+* :func:`HyperbolicUrnScenario` — a pre-transition pair that stays additive
   while the post-transition pair deviates strongly (``|lambda| > 1``).
 
 Each context is an independent experimental run.  Its successes are one
@@ -19,15 +20,14 @@ ids 16-20 so that reusing one seed across the pipeline never aliases
 streams.  ``Generator.binomial`` is outside numpy's stream-compatibility
 policy (NEP 19), so a seed's counts are fixed for a given numpy version.
 numpy is imported only by the code that draws (the substream constructor
-and the bootstrap), so scenarios, their truth and the constants load
-without it.
+and the bootstrap), so scenarios and the constants load without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 from .calculus import (
     ROUND_OFF,
@@ -68,76 +68,55 @@ def _check_seed(seed) -> int:
 
 
 DirectScenario = ContextTriple
+Scenario = ContextTriple
+
+# Phase slack of the two-slit family: decimal-rounded endpoints such as 3.1415927 pass.
+_PHASE_SLACK = 1e-6
 
 
-@dataclass(frozen=True)
-class TwoSlitScenario:
-    """Two-path interference with amplitudes m1 and m2*e^{i*phase}.
+def TwoSlitScenario(a1_modulus: float, a2_modulus: float, phase: float) -> ContextTriple:
+    """Two-path interference with amplitudes m1 and m2*e^{i*phase}, as its truth.
 
-    Every derived probability (m1**2, m2**2 and the combined
-    |m1 + m2*e^{i*phase}|**2) must lie in [0, 1]; the combined probability
-    peaks at (m1+m2)**2 when the phase vanishes.  The phase must lie in
-    [0, pi] up to a slack of 1e-6, tolerating decimal-rounded endpoint
-    inputs such as 3.1415927.
+    Returns ``ContextTriple(|m1 + m2*e^{i*phase}|**2, m1**2, m2**2)``.  Every
+    one of these probabilities must lie in [0, 1]; the combined one peaks at
+    (m1+m2)**2 when the phase vanishes.  The phase must lie in [0, pi] up to
+    a slack of 1e-6, tolerating decimal-rounded endpoint inputs such as 3.1415927.
     """
-
-    a1_modulus: float
-    a2_modulus: float
-    phase: float
-
-    _PHASE_SLACK = 1e-6
-
-    def __post_init__(self) -> None:
-        m1 = float(self.a1_modulus)
-        m2 = float(self.a2_modulus)
-        t = float(self.phase)
-        if not (math.isfinite(m1) and m1 >= 0.0 and math.isfinite(m2) and m2 >= 0.0):
-            raise InvalidScenario(f"amplitude moduli must be finite and >= 0, got {m1!r}, {m2!r}")
-        if not (-self._PHASE_SLACK <= t <= math.pi + self._PHASE_SLACK):
-            raise InvalidScenario(f"phase must lie in [0, pi], got {self.phase!r}")
-        p_s = self.combined_probability
-        for name, p in (("m1**2", m1 * m1), ("m2**2", m2 * m2), ("combined probability", p_s)):
-            if p > 1.0 + ROUND_OFF:
-                raise InvalidScenario(f"{name} = {p!r} exceeds 1")
-
-    @property
-    def combined_probability(self) -> float:
-        """|m1 + m2*e^{i*phase}|**2 = m1**2 + m2**2 + 2*m1*m2*cos(phase)."""
-        m1, m2 = float(self.a1_modulus), float(self.a2_modulus)
-        return m1 * m1 + m2 * m2 + 2.0 * m1 * m2 * math.cos(float(self.phase))
+    m1 = float(a1_modulus)
+    m2 = float(a2_modulus)
+    t = float(phase)
+    if not (math.isfinite(m1) and m1 >= 0.0 and math.isfinite(m2) and m2 >= 0.0):
+        raise InvalidScenario(f"amplitude moduli must be finite and >= 0, got {m1!r}, {m2!r}")
+    if not (-_PHASE_SLACK <= t <= math.pi + _PHASE_SLACK):
+        raise InvalidScenario(f"phase must lie in [0, pi], got {phase!r}")
+    p_s = m1 * m1 + m2 * m2 + 2.0 * m1 * m2 * math.cos(t)
+    for name, p in (("m1**2", m1 * m1), ("m2**2", m2 * m2), ("combined probability", p_s)):
+        if p > 1.0 + ROUND_OFF:
+            raise InvalidScenario(f"{name} = {p!r} exceeds 1")
+    return ContextTriple(p_s, m1 * m1, m2 * m2)
 
 
-@dataclass(frozen=True)
-class HyperbolicUrnScenario:
-    """Additive pre-transition pair with a strongly deviating post pair.
+def HyperbolicUrnScenario(p1: float, p2: float, p1_prime: float, p2_prime: float) -> ContextTriple:
+    """Additive pre-transition pair with a strongly deviating post pair, as its truth.
 
-    The combined probability is p1 + p2 (which must not exceed 1), and the
-    parameters must actually produce a hyperbolic transition: the
-    coefficient :func:`~ctxprob.calculus.analyze` computes from them must
-    satisfy |lambda| > 1.
+    Returns ``ContextTriple(p1 + p2, p1_prime, p2_prime, p1, p2)``.  The
+    combined probability p1 + p2 must not exceed 1, and the parameters must
+    actually produce a hyperbolic transition: the coefficient
+    :func:`~ctxprob.calculus.analyze` computes from them must satisfy |lambda| > 1.
     """
-
-    p1: Probability
-    p2: Probability
-    p1_prime: Probability
-    p2_prime: Probability
-
-    def __post_init__(self) -> None:
-        for name in ("p1", "p2", "p1_prime", "p2_prime"):
-            object.__setattr__(self, name, Probability(getattr(self, name)))
-        p_s = float(self.p1) + float(self.p2)
-        if p_s > 1.0 + ROUND_OFF:
-            raise InvalidScenario(f"p1 + p2 = {p_s!r} exceeds 1")
-        lam = analyze(ContextTriple(p_s, self.p1_prime, self.p2_prime)).lam
-        if lam is None:
-            raise InvalidScenario("post-transition probabilities must be positive")
-        if abs(lam) <= 1.0:
-            raise InvalidScenario(
-                f"parameters give |lambda| = {abs(lam)!r} <= 1: not a hyperbolic transition"
-            )
-
-
-Scenario = Union[DirectScenario, TwoSlitScenario, HyperbolicUrnScenario]
+    p1, p2, p1_prime, p2_prime = (Probability(p) for p in (p1, p2, p1_prime, p2_prime))
+    p_s = float(p1) + float(p2)
+    if p_s > 1.0 + ROUND_OFF:
+        raise InvalidScenario(f"p1 + p2 = {p_s!r} exceeds 1")
+    truth = ContextTriple(p_s, p1_prime, p2_prime, p1, p2)
+    lam = analyze(truth).lam
+    if lam is None:
+        raise InvalidScenario("post-transition probabilities must be positive")
+    if abs(lam) <= 1.0:
+        raise InvalidScenario(
+            f"parameters give |lambda| = {abs(lam)!r} <= 1: not a hyperbolic transition"
+        )
+    return truth
 
 
 @dataclass(frozen=True)
@@ -164,21 +143,12 @@ class EstimationReport:
 
 
 def scenario_truth(scenario: Scenario) -> ContextTriple:
-    """Exact context probabilities implied by a scenario."""
-    if isinstance(scenario, ContextTriple):
-        return scenario
-    if isinstance(scenario, TwoSlitScenario):
-        m1 = float(scenario.a1_modulus)
-        m2 = float(scenario.a2_modulus)
-        return ContextTriple(scenario.combined_probability, m1 * m1, m2 * m2)
-    if isinstance(scenario, HyperbolicUrnScenario):
-        p_s = float(scenario.p1) + float(scenario.p2)
-        return ContextTriple(p_s, scenario.p1_prime, scenario.p2_prime, scenario.p1, scenario.p2)
-    raise TypeError(f"unknown scenario type: {scenario!r}")
+    """Exact context probabilities implied by a scenario: every scenario is its own triple."""
+    return scenario
 
 
 def sample_counts(scenario: Scenario, trials_per_context: int, seed: int = 0) -> CountTable:
-    """Draw finite counts for every context defined by a scenario.
+    """Draw finite counts for every context whose probability a scenario's triple carries.
 
     Each context's successes are one Binomial(trials_per_context, p) draw on its
     own substream; ``trials_per_context`` lies in [1, 2**63) like a count file.
@@ -191,7 +161,7 @@ def sample_counts(scenario: Scenario, trials_per_context: int, seed: int = 0) ->
     s = _check_seed(seed)
     rows = [
         CountRow(label, int(_context_rng(s, _STREAM_ID[label]).binomial(n, p)), n)
-        for label, p in context_probabilities(scenario_truth(scenario)).items()
+        for label, p in context_probabilities(scenario).items()
     ]
     return CountTable(tuple(rows))
 

@@ -13,6 +13,7 @@ from ctxprob.calculus import (
     DegenerateReason,
     Hyperbolic,
     Trigonometric,
+    classify,
 )
 from ctxprob.data import (
     SCHEMA_VERSION,
@@ -322,6 +323,15 @@ PARSE_REPORT_RAISES = [
     ("generator_name", ("reproducibility", "generator_name"), 5, "string generator_name"),
     ("seed", ("reproducibility", "seed"), "x", "reproducibility.seed must be an integer, got 'x'"),
     ("replicates", ("reproducibility", "replicates"), None, "reproducibility.replicates must be an integer"),
+    # nested objects carry exactly the keys write_report writes
+    ("input-key", ("inputs", "S", "bogus"), 1, "inputs.S keys ['bogus'] missing or unexpected"),
+    ("input-key-missing", ("inputs", "S", "interval"), _DELETE, "inputs.S keys ['interval'] missing"),
+    ("regime-key", ("regime", "bogus"), 1, "regime keys ['bogus'] missing or unexpected"),
+    ("additivity-key", ("additivity_check",), {"present": False, "z_statistic": 1.0},
+     "additivity_check keys ['z_statistic'] missing or unexpected"),
+    ("wave-key", ("wave", "bogus"), 1, "wave keys ['bogus'] missing or unexpected"),
+    ("reproducibility-key", ("reproducibility", "bogus"), 1,
+     "reproducibility keys ['bogus'] missing or unexpected"),
 ]
 
 
@@ -357,6 +367,13 @@ OUT_OF_RANGE = [
     ("p_hat", ("inputs", "S", "p_hat"), 7.0, "p_hat must lie in [0, 1]"),
     ("regime_stability", ("regime_stability",), -3.0, "regime_stability must lie in [0, 1]"),
     ("successes-alone", ("inputs", "S", "trials"), None, "successes and trials must be both"),
+    ("lambda-regime", ("regime",), {"kind": "trigonometric", "theta": 0.5}, "trigonometric phase"),
+    ("lambda-degenerate", ("regime",), {"kind": "degenerate", "reason": "p1-prime-zero"},
+     "lam must be None exactly for a degenerate regime"),
+    ("interval-reversed", ("inputs", "S", "interval"), [5.0, -3.0], "interval must satisfy 0 <= lo"),
+    ("interval-above-one", ("inputs", "S", "interval"), [0.5, 1.5], "interval must satisfy 0 <= lo"),
+    ("lambda_interval-reversed", ("lambda_interval",), [9.0, 1.0],
+     "lambda_interval must satisfy lo <= hi"),
 ]
 
 
@@ -383,6 +400,14 @@ def test_parse_report_refuses_out_of_range_values(path, value, fragment):
         pytest.param(lambda: ContextSummary(0.5, -1, 10), "successes", id="successes-negative"),
         pytest.param(lambda: _minimal_doc(regime_stability=-3.0), "regime_stability", id="stability-low"),
         pytest.param(lambda: _minimal_doc(regime_stability=1.5), "regime_stability", id="stability-high"),
+        pytest.param(lambda: ContextSummary(0.5, interval=(0.6, 0.4)), "interval", id="interval-reversed"),
+        pytest.param(lambda: ContextSummary(0.5, interval=(-0.1, 0.4)), "interval", id="interval-low"),
+        pytest.param(lambda: ContextSummary(0.5, interval=(0.5, math.nan)), "interval", id="interval-nan"),
+        pytest.param(lambda: _minimal_doc(lambda_interval=(9.0, 1.0)), "lambda_interval",
+                     id="lambda_interval-reversed"),
+        pytest.param(lambda: _minimal_doc(regime=Trigonometric(0.5)), "trigonometric phase",
+                     id="regime-contradicts-lam"),
+        pytest.param(lambda: _minimal_doc(lam=None), "lam must be None", id="lam-missing"),
     ],
 )
 def test_document_types_refuse_out_of_range_values(build, fragment):
@@ -403,10 +428,26 @@ def test_document_types_accept_their_bounds():
     assert parse_report(write_report(doc)) == doc
 
 
+def test_document_types_accept_closed_intervals():
+    doc = _minimal_doc(
+        inputs={
+            "S": ContextSummary(p_hat=1.0, interval=(1.0, 1.0)),
+            "S1p": ContextSummary(p_hat=0.0, interval=(0.0, 0.0)),
+            "S2p": ContextSummary(p_hat=0.5, interval=(0.0, 1.0)),
+        },
+        lambda_interval=(3.5, 3.5),
+    )
+    assert parse_report(write_report(doc)) == doc
+
+
 # -- randomized round-trip -----------------------------------------------
 
 finite_reals = st.floats(allow_nan=False, allow_infinity=False, width=64)
 unit_reals = st.floats(min_value=0.0, max_value=1.0)
+
+
+def _ordered_pairs(values):
+    return st.tuples(values, values).map(lambda pair: tuple(sorted(pair)))
 
 
 def _summary():
@@ -419,19 +460,15 @@ def _summary():
         lambda p_hat, pair, interval: ContextSummary(p_hat, *pair, interval),
         unit_reals,
         counts,
-        st.one_of(st.none(), st.tuples(unit_reals, unit_reals)),
+        st.one_of(st.none(), _ordered_pairs(unit_reals)),
     )
 
 
-def _regimes():
+def _points():
+    # (lam, regime) as analyze pairs them: the regime of a drawn lam, or degenerate with no lam
     return st.one_of(
-        st.builds(Trigonometric, theta=st.floats(min_value=0.0, max_value=math.pi)),
-        st.builds(
-            Hyperbolic,
-            sign=st.sampled_from([-1, 1]),
-            theta=st.floats(min_value=1e-6, max_value=20.0),
-        ),
-        st.builds(Degenerate, reason=st.sampled_from(list(DegenerateReason))),
+        st.floats(min_value=-100.0, max_value=100.0).map(lambda lam: (lam, classify(lam))),
+        st.sampled_from(list(DegenerateReason)).map(lambda reason: (None, Degenerate(reason))),
     )
 
 
@@ -439,15 +476,14 @@ def _documents():
     labels = st.sampled_from([("S", "S1p", "S2p"), ("S", "S1", "S2", "S1p", "S2p")])
     return labels.flatmap(
         lambda ls: st.builds(
-            ReportDocument,
+            lambda point, **fields: ReportDocument(lam=point[0], regime=point[1], **fields),
+            _points(),
             schema_version=st.just(SCHEMA_VERSION),
             inputs=st.tuples(*[_summary() for _ in ls]).map(
                 lambda summaries: dict(zip(ls, summaries))
             ),
             delta=st.floats(min_value=-2.0, max_value=2.0),
-            lam=st.one_of(st.none(), st.floats(min_value=-100.0, max_value=100.0)),
-            regime=_regimes(),
-            lambda_interval=st.one_of(st.none(), st.tuples(finite_reals, finite_reals)),
+            lambda_interval=st.one_of(st.none(), _ordered_pairs(finite_reals)),
             regime_stability=st.one_of(st.none(), unit_reals),
             additivity=st.one_of(
                 st.none(),

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxprob.calculus import Degenerate, Hyperbolic, Trigonometric
-from ctxprob.data import CONTEXT_LABELS, CountRow, CountTable, context_probabilities
+from ctxprob.data import (
+    CONTEXT_LABELS, CountRow, CountTable, context_probabilities, parse_counts, write_counts,
+)
 from ctxprob import simulation
 from ctxprob.errors import InvalidScenario, RegimeMismatch
 from ctxprob.simulation import (
@@ -49,6 +51,16 @@ class TestCountTable:
             CountRow("S", 11, 10)
         with pytest.raises(ValueError):
             CountRow("S", 0, 0)
+
+    def test_trials_bounded_like_count_files(self):
+        # a larger row would be written to a count file that parse_counts refuses
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            CountRow("S", 1, 2**63)
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            CountRow("S", 1, 2.0**63)
+        row = CountRow("S", 1, 2**63 - 1)
+        table = CountTable((row, CountRow("S1p", 0, 1), CountRow("S2p", 0, 1)))
+        assert parse_counts(write_counts(table)).table == table
 
 
 class TestScenarios:
@@ -369,3 +381,78 @@ class TestBootstrapIntervals:
             row = np.full(n, -0.0)
             got = np.array(simulation._linear_quantiles(row, levels))
             assert got.view(np.uint64).tolist() == np.quantile(row, levels).view(np.uint64).tolist()
+
+
+# Digest of ``repr(scenario_truth(family(*args)))``, or of the exception's type
+# and message, over a seeded grid of two-slit and urn parameters: the named
+# edge cases first (phases at 0, pi, a rounded pi and past the slack; NaN,
+# negative and infinite inputs; p1 + p2 > 1; zero and underflowing references;
+# |lambda| <= 1 for the urn), then random draws that mix those values with
+# uniform ones.  No random stream is involved, so the digest is fixed across
+# numpy versions.
+SCENARIO_DIGEST = "cb970bada8f3d5cf125a7a6be0f94ed5a1764209dc00fa81646432dd60671965"
+_SCENARIO_SPECIALS = (
+    0.0, 1.0, 0.5, math.pi, 3.1415927, 3.2, -1e-7, -0.1, 1.5, 1e-170,
+    math.nan, math.inf, -math.inf,
+)
+_SCENARIO_EDGES = [
+    (TwoSlitScenario, (math.sqrt(0.5), math.sqrt(0.5), 0.0)),
+    (TwoSlitScenario, (math.sqrt(0.5), math.sqrt(0.5), math.pi)),
+    (TwoSlitScenario, (math.sqrt(0.5), math.sqrt(0.5), 3.1415927)),
+    (TwoSlitScenario, (0.5, 0.5, 3.2)),
+    (TwoSlitScenario, (0.5, 0.5, -1e-7)),
+    (TwoSlitScenario, (0.5, 0.5, -1e-5)),
+    (TwoSlitScenario, (math.nan, 0.5, 1.0)),
+    (TwoSlitScenario, (0.5, math.nan, 1.0)),
+    (TwoSlitScenario, (0.5, 0.5, math.nan)),
+    (TwoSlitScenario, (-0.1, 0.5, 1.0)),
+    (TwoSlitScenario, (math.inf, 0.5, 1.0)),
+    (TwoSlitScenario, (0.5, 0.5, math.inf)),
+    (TwoSlitScenario, (1.2, 0.0, 0.0)),
+    (TwoSlitScenario, (0.0, 0.0, 1.0)),
+    (TwoSlitScenario, (1e-170, 0.5, 1.0)),
+    (HyperbolicUrnScenario, (0.4, 0.5, 0.1, 0.1)),
+    (HyperbolicUrnScenario, (0.7, 0.7, 0.1, 0.1)),
+    (HyperbolicUrnScenario, (0.5, 0.5 + 1e-13, 0.1, 0.1)),
+    (HyperbolicUrnScenario, (0.4, 0.5, 0.0, 0.1)),
+    (HyperbolicUrnScenario, (0.4, 0.5, 0.0, 0.0)),
+    (HyperbolicUrnScenario, (0.4, 0.5, 1e-170, 1e-170)),
+    (HyperbolicUrnScenario, (0.4, 0.5, 1e-170, 0.1)),
+    (HyperbolicUrnScenario, (0.3, 0.2, 0.3, 0.2)),
+    (HyperbolicUrnScenario, (0.25, 0.25, 0.25, 0.25)),
+    (HyperbolicUrnScenario, (0.0, 0.0, 0.5, 0.5)),
+    (HyperbolicUrnScenario, (math.nan, 0.5, 0.1, 0.1)),
+    (HyperbolicUrnScenario, (0.4, -0.1, 0.1, 0.1)),
+    (HyperbolicUrnScenario, (0.4, 0.5, math.inf, 0.1)),
+    (HyperbolicUrnScenario, (0.4, 0.5, 0.1, -math.inf)),
+]
+
+
+def _scenario_grid():
+    yield from _SCENARIO_EDGES
+    rng = random.Random(20261018)
+
+    def draw(lo, hi):
+        return rng.choice(_SCENARIO_SPECIALS) if rng.random() < 0.1 else rng.uniform(lo, hi)
+
+    for _ in range(200):
+        yield TwoSlitScenario, (draw(0.0, 0.8), draw(0.0, 0.8), draw(0.0, math.pi))
+    for _ in range(200):
+        hi = 0.15 if rng.random() < 0.7 else 1.0  # small references make |lambda| > 1 likely
+        yield HyperbolicUrnScenario, (draw(0.0, 0.6), draw(0.0, 0.6), draw(0.0, hi), draw(0.0, hi))
+
+
+def scenario_digest() -> str:
+    h = hashlib.sha256()
+    for family, args in _scenario_grid():
+        try:
+            record = repr(scenario_truth(family(*args)))
+        except Exception as e:  # the record is the refusal itself
+            record = f"{type(e).__name__}: {e}"
+        h.update(record.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_scenario_digest():
+    assert scenario_digest() == SCENARIO_DIGEST

@@ -1,21 +1,27 @@
+import hashlib
 import json
 import math
 import os
+import random
 import stat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxprob.amplitudes import wave_from_analysis
 from ctxprob.calculus import (
     ContextTriple,
     Degenerate,
     DegenerateReason,
     Hyperbolic,
     Trigonometric,
+    analyze,
     classify,
 )
 from ctxprob.data import (
+    CONTEXT_LABELS,
+    COUNTS_HEADER,
     SCHEMA_VERSION,
     AdditivityCheck,
     ContextSummary,
@@ -34,6 +40,7 @@ from ctxprob.data import (
     write_report,
 )
 from ctxprob.errors import DegenerateVariance, ParseError
+from ctxprob.simulation import GENERATOR_NAME, estimate
 
 GOOD = "context,successes,trials\nS,9,10\nS1p,1,10\nS2p,1,10\n"
 
@@ -541,3 +548,169 @@ class TestAtomicWrite:
         finally:
             os.umask(previous)
         assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+
+# -- byte-identity gates for the report and count codecs ------------------
+
+# SHA-256 of write_report over the documents that estimate (count tables) and
+# analyze (direct probabilities) give on a seeded grid, built the way the
+# analyze subcommand builds them: 3 and 5 contexts, trials from 1 to 2**62
+# with zero and full proportions, R in {0, 1, 2, 17, 1000}, every regime and
+# both wave kinds; 400 documents.  The bootstrap draws come from
+# Generator.binomial, so, like the byte goldens, the digest is fixed for a
+# given numpy version and GENERATOR_NAME.
+REPORT_DIGEST = "6b1d903a20e8690aaabcb370e1f6e6554e3e22080455f5313899231cb008d740"
+_REPORT_REPLICATES = (0, 1, 2, 17, 1000)
+
+
+def _edge_probability(rng):
+    edge = rng.random()
+    return 0.0 if edge < 0.1 else 1.0 if edge < 0.2 else rng.random()
+
+
+def _report_document(rng, labels):
+    seed = rng.randrange(2**64)
+    if rng.random() < 0.25:  # analyze --p-s ... : direct probabilities, no bootstrap
+        p_s, p1_prime, p2_prime = (_edge_probability(rng) for _ in range(3))
+        split = () if len(labels) == 3 else (p_s * rng.random(),)
+        triple = ContextTriple(p_s, p1_prime, p2_prime, *split, *(p_s - p for p in split))
+        inputs = {label: ContextSummary(p) for label, p in context_probabilities(triple).items()}
+        point, reference = analyze(triple), (triple.p1_prime, triple.p2_prime)
+        lambda_interval = regime_stability = additivity = None
+        replicates = 0
+    else:  # analyze --counts FILE: estimate with its bootstrap
+        rows = []
+        for label in labels:
+            trials = int(2.0 ** rng.uniform(0.0, 62.0))
+            trials = rng.choice((1, 2**62)) if rng.random() < 0.1 else trials
+            edge = rng.random()
+            successes = 0 if edge < 0.1 else trials if edge < 0.2 else rng.randint(0, trials)
+            rows.append(CountRow(label, successes, trials))
+        counts = CountTable(tuple(rows))
+        replicates = rng.choice(_REPORT_REPLICATES)
+        report = estimate(counts, replicates, rng.choice((0.5, 0.9, 0.95, 0.99)), seed)
+        inputs = {
+            row.label: ContextSummary(
+                row.proportion, row.successes, row.trials, report.context_intervals[row.label]
+            )
+            for row in counts.rows
+        }
+        point, reference = report.point, (counts.proportion("S1p"), counts.proportion("S2p"))
+        lambda_interval, regime_stability = report.lambda_interval, report.regime_stability
+        additivity = additivity_check(counts)
+    wave = None
+    if not isinstance(point.regime, Degenerate):
+        amplitude = wave_from_analysis(*reference, point)
+        wave = WaveSummary(amplitude.kind, amplitude.components)
+    return ReportDocument(
+        schema_version=SCHEMA_VERSION,
+        inputs=inputs,
+        delta=point.delta,
+        lam=point.lam,
+        regime=point.regime,
+        lambda_interval=lambda_interval,
+        regime_stability=regime_stability,
+        additivity=additivity,
+        wave=wave,
+        reproducibility=Reproducibility(seed, replicates, GENERATOR_NAME),
+    )
+
+
+def _report_grid():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        labels = CONTEXT_LABELS if rng.random() < 0.5 else ("S", "S1p", "S2p")
+        yield _report_document(rng, labels)
+
+
+def test_report_bytes_digest():
+    h = hashlib.sha256()
+    docs = list(_report_grid())
+    for doc in docs:
+        blob = write_report(doc)
+        assert parse_report(blob) == doc
+        h.update(blob)
+    # the grid covers what the gate claims to cover
+    assert {len(doc.inputs) for doc in docs} == {3, 5}
+    assert {doc.reproducibility.replicates for doc in docs} == set(_REPORT_REPLICATES)
+    assert {doc.regime.kind for doc in docs} == {"trigonometric", "hyperbolic", "degenerate"}
+    assert {doc.wave.kind for doc in docs if doc.wave} == {"complex", "split-complex"}
+    summaries = [s for doc in docs for s in doc.inputs.values() if s.trials is not None]
+    assert min(s.trials for s in summaries) == 1
+    assert max(s.trials for s in summaries) == 2**62
+    assert {0.0, 1.0} <= {s.p_hat for s in summaries}
+    assert h.hexdigest() == REPORT_DIGEST
+
+
+# SHA-256 of what parse_counts makes of a seeded corpus of count files: the
+# CountFile repr when a file parses, else the error's (kind, line, message).
+# The corpus is valid files in shuffled row order, each with one mutation:
+# CRLF endings, comments and blank lines, 19- and 20-digit integers, integers
+# at 2**63 - 1 and 2**63, duplicate, unknown and missing labels, bad headers,
+# wrong field counts, non-digit values, zero trials, successes above trials
+# and invalid UTF-8.  No random stream is involved.
+COUNTS_DIGEST = "7c85f852c9488f0a95f1fe5dd8538a5c155d06027d005421f380969d4e31a541"
+_COUNT_VALUES = (
+    "9" * 19, "1" * 19, "1" + "0" * 19, "0" * 20, str(2**63 - 1), str(2**63), "0", "01",
+    "-1", "+1", " 1", "1.0", "1e3", "", "x", "١",
+)
+
+
+def _count_file(rng):
+    labels = list(CONTEXT_LABELS if rng.random() < 0.5 else ("S", "S1p", "S2p"))
+    rng.shuffle(labels)
+    lines = [COUNTS_HEADER]
+    for label in labels:
+        trials = rng.choice((1, rng.randint(1, 10**6), 2**63 - 1))
+        lines.append(f"{label},{rng.randint(0, trials)},{trials}")
+    mutation = rng.randrange(12)
+    at = rng.randrange(1, len(lines))
+    if mutation == 1:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(("# note", "", "  ", "#", "\t")))
+    elif mutation == 2:
+        fields = lines[at].split(",")
+        fields[rng.randrange(1, 3)] = rng.choice(_COUNT_VALUES)
+        lines[at] = ",".join(fields)
+    elif mutation == 3:
+        lines.insert(rng.randrange(1, len(lines) + 1), lines[at])
+    elif mutation == 4:
+        del lines[at]
+    elif mutation == 5:
+        lines[at] = rng.choice(("Q", "s", "S1P", "")) + lines[at][lines[at].index(","):]
+    elif mutation == 6:
+        lines[0] = rng.choice(("", "context,successes", "Context,successes,trials",
+                               COUNTS_HEADER + ",", "﻿" + COUNTS_HEADER))
+    elif mutation == 7:
+        lines[at] = rng.choice((lines[at] + ",1", lines[at].rsplit(",", 1)[0], lines[at] + " "))
+    elif mutation == 8:
+        label = lines[at].split(",")[0]
+        lines[at] = rng.choice((f"{label},0,0", f"{label},5,4"))
+    elif mutation == 9:
+        lines = lines[:rng.randrange(len(lines))]
+    text = "\n".join(lines) + rng.choice(("\n", "", "\n\n"))
+    if mutation == 10 or rng.random() < 0.2:
+        text = text.replace("\n", "\r\n")
+    data = text.encode("utf-8")
+    if mutation == 11:
+        cut = rng.randrange(len(data) + 1)
+        data = data[:cut] + rng.choice((b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xc3\xa9")) + data[cut:]
+    return data
+
+
+def test_parse_counts_digest():
+    rng = random.Random(20261019)
+    h = hashlib.sha256()
+    outcomes = set()
+    for _ in range(2000):
+        data = _count_file(rng)
+        try:
+            record = repr(parse_counts(data if rng.random() < 0.5 else data.decode("utf-8", "replace"),
+                                       source="corpus.csv"))
+            outcomes.add("ok")
+        except ParseError as e:
+            record = f"{e.kind.value} {e.line} {e}"
+            outcomes.add(e.kind.value)
+        h.update(record.encode())
+        h.update(b"\n")
+    assert outcomes == {"ok"} | {kind.value for kind in ParseErrorKind} - {"bad-document"}
+    assert h.hexdigest() == COUNTS_DIGEST

@@ -23,7 +23,6 @@ import errno
 import json
 import math
 import os
-import re
 import tempfile
 from dataclasses import dataclass
 from typing import Iterable
@@ -47,7 +46,6 @@ def context_probabilities(triple: ContextTriple) -> dict[str, float]:
 
 SCHEMA_VERSION = "1"
 COUNTS_HEADER = "context,successes,trials"
-_INTEGER = re.compile(r"[0-9]+")
 # Counts feed numpy's 64-bit samplers; 2**63 - 1 has 19 digits, and capping
 # the length first keeps int() clear of its digit limit.
 _MAX_DIGITS = 19
@@ -144,12 +142,40 @@ class CountFile:
     line_numbers: dict[str, int]
 
 
+# |z| at or below which additivity_check calls the decomposition consistent.
+_CONSISTENT_Z = 3.0
+
+
 @dataclass(frozen=True)
 class AdditivityCheck:
-    """z-statistic for the pre-transition additive decomposition."""
+    """z-statistic for the pre-transition additive decomposition; consistent when |z| <= 3."""
 
     z_statistic: float
     consistent: bool
+
+    def __post_init__(self) -> None:
+        if self.consistent != (abs(self.z_statistic) <= _CONSISTENT_Z):
+            raise ValueError(
+                f"consistent must equal |z_statistic| <= 3, got {self.consistent!r} "
+                f"for z_statistic {self.z_statistic!r}"
+            )
+
+
+def _read_count(text: str, name: str, source: str, lineno: int) -> int:
+    """One count field: ASCII digits only, below 2**63 with at most 19 of them."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(
+            f"{source}: {name} must be a non-negative integer, got {text!r}",
+            line=lineno,
+            kind=ParseErrorKind.BAD_INTEGER,
+        )
+    if len(text) > _MAX_DIGITS or (value := int(text)) >= _INTEGER_BOUND:
+        raise ParseError(
+            f"{source}: {name} must be below 2**63 with at most {_MAX_DIGITS} digits",
+            line=lineno,
+            kind=ParseErrorKind.INTEGER_OUT_OF_RANGE,
+        )
+    return value
 
 
 def parse_counts(text: bytes | str, source: str = "<memory>") -> CountFile:
@@ -204,21 +230,8 @@ def parse_counts(text: bytes | str, source: str = "<memory>") -> CountFile:
                 line=lineno,
                 kind=ParseErrorKind.DUPLICATE_LABEL,
             )
-        for name, value in (("successes", successes_text), ("trials", trials_text)):
-            if not _INTEGER.fullmatch(value):
-                raise ParseError(
-                    f"{source}: {name} must be a non-negative integer, got {value!r}",
-                    line=lineno,
-                    kind=ParseErrorKind.BAD_INTEGER,
-                )
-            if len(value) > _MAX_DIGITS or int(value) >= _INTEGER_BOUND:
-                raise ParseError(
-                    f"{source}: {name} must be below 2**63 with at most {_MAX_DIGITS} digits",
-                    line=lineno,
-                    kind=ParseErrorKind.INTEGER_OUT_OF_RANGE,
-                )
-        successes = int(successes_text)
-        trials = int(trials_text)
+        successes = _read_count(successes_text, "successes", source, lineno)
+        trials = _read_count(trials_text, "trials", source, lineno)
         if trials == 0:
             raise ParseError(
                 f"{source}: trials must be positive",
@@ -275,7 +288,7 @@ def additivity_check(counts: CountTable) -> AdditivityCheck | None:
             "the decomposition is deterministically violated"
         )
     z = diff / math.sqrt(variance)
-    return AdditivityCheck(z_statistic=z, consistent=abs(z) <= 3.0)
+    return AdditivityCheck(z_statistic=z, consistent=abs(z) <= _CONSISTENT_Z)
 
 
 @dataclass(frozen=True)
@@ -292,10 +305,16 @@ class ContextSummary:
             raise ValueError(f"p_hat must lie in [0, 1], got {self.p_hat!r}")
         if (self.successes is None) != (self.trials is None):
             raise ValueError("successes and trials must be both present or both null")
-        if self.trials is not None and not 1 <= self.trials < _INTEGER_BOUND:
-            raise ValueError(f"trials must lie in [1, 2**63), got {self.trials!r}")
-        if self.trials is not None and not 0 <= self.successes <= self.trials:
-            raise ValueError(f"successes must lie in [0, trials], got {self.successes!r}")
+        if self.trials is not None:
+            if not 1 <= self.trials < _INTEGER_BOUND:
+                raise ValueError(f"trials must lie in [1, 2**63), got {self.trials!r}")
+            if not 0 <= self.successes <= self.trials:
+                raise ValueError(f"successes must lie in [0, trials], got {self.successes!r}")
+            if self.p_hat != self.successes / self.trials:
+                raise ValueError(
+                    f"p_hat must equal successes / trials = {self.successes / self.trials!r}, "
+                    f"got {self.p_hat!r}"
+                )
         if self.interval is not None and not 0.0 <= self.interval[0] <= self.interval[1] <= 1.0:
             raise ValueError(f"interval must satisfy 0 <= lo <= hi <= 1, got {self.interval!r}")
 
@@ -349,7 +368,7 @@ class ReportDocument:
     def __post_init__(self) -> None:
         if self.schema_version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {self.schema_version!r}")
-        unknown = set(self.inputs) - set(CONTEXT_LABELS)
+        unknown = self.inputs.keys() - CONTEXT_LABELS
         if unknown:
             raise ValueError(f"unknown context labels {sorted(unknown)!r}")
         missing = [label for label in _REQUIRED_LABELS if label not in self.inputs]
@@ -361,10 +380,26 @@ class ReportDocument:
         if interval is not None and not interval[0] <= interval[1]:
             raise ValueError(f"lambda_interval must satisfy lo <= hi, got {interval!r}")
         TransitionAnalysis(self.delta, self.lam, self.regime)  # ties regime to lam
+        if self.wave is not None:
+            if isinstance(self.regime, Trigonometric):
+                kind = ComplexAmplitude.kind
+            elif isinstance(self.regime, Hyperbolic):
+                kind = SplitComplexAmplitude.kind
+            else:
+                raise ValueError(f"wave must be null for a degenerate regime, got {self.wave.kind!r}")
+            if self.wave.kind != kind:
+                raise ValueError(
+                    f"wave kind must be {kind!r} for a {self.regime.kind} regime, "
+                    f"got {self.wave.kind!r}"
+                )
         ordered = {
             label: self.inputs[label] for label in CONTEXT_LABELS if label in self.inputs
         }
         object.__setattr__(self, "inputs", ordered)
+
+
+# What json.dumps returns for a string under its default settings.
+_quote = json.encoder.encode_basestring_ascii
 
 
 def _format_real(x: float) -> str:
@@ -373,29 +408,25 @@ def _format_real(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _render(node, indent: int) -> str:
-    pad = "  " * indent
-    if node is None:
-        return "null"
-    if node is True:
-        return "true"
-    if node is False:
-        return "false"
-    if isinstance(node, int):
-        return str(node)
+def _render(node, pad: str) -> str:
     if isinstance(node, float):
         return _format_real(node)
     if isinstance(node, str):
-        return json.dumps(node)
-    if isinstance(node, (list, tuple)):
-        return "[" + ", ".join(_render(v, indent) for v in node) + "]"
+        return _quote(node)
     if isinstance(node, dict):
         if not node:
             return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(k)}: {_render(v, indent + 1)}" for k, v in node.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
+        inner = pad + "  "
+        members = [f"{inner}{_quote(k)}: {_render(v, inner)}" for k, v in node.items()]
+        return "{\n" + ",\n".join(members) + "\n" + pad + "}"
+    if isinstance(node, (list, tuple)):
+        return "[" + ", ".join([_render(v, pad) for v in node]) + "]"
+    if isinstance(node, bool):
+        return "true" if node else "false"
+    if isinstance(node, int):
+        return str(node)
+    if node is None:
+        return "null"
     raise TypeError(f"cannot serialize {type(node).__name__}")
 
 
@@ -455,7 +486,7 @@ def _document_tree(doc: ReportDocument) -> dict:
 
 def write_report(doc: ReportDocument) -> bytes:
     """Serialize a report canonically: fixed key order, 17-digit reals."""
-    return (_render(_document_tree(doc), 0) + "\n").encode("utf-8")
+    return (_render(_document_tree(doc), "") + "\n").encode("utf-8")
 
 
 # Readers of the parsed JSON tree: each defect raises ValueError, which
@@ -463,6 +494,8 @@ def write_report(doc: ReportDocument) -> bytes:
 
 
 def _read_real(value, name: str, or_null: str = "") -> float:
+    if type(value) is float and math.isfinite(value):
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number{or_null}, got {value!r}")
     try:
@@ -475,13 +508,13 @@ def _read_real(value, name: str, or_null: str = "") -> float:
 
 
 def _read_int(value, name: str, or_null: str = "") -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise ValueError(f"{name} must be an integer{or_null}, got {value!r}")
     return value
 
 
 def _read_pair(value, name: str, or_null: str = "") -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2:
+    if type(value) is not list or len(value) != 2:
         raise ValueError(f"{name} must be a two-element array{or_null}, got {value!r}")
     return (_read_real(value[0], name), _read_real(value[1], name))
 

@@ -184,6 +184,19 @@ def _linear_quantiles(sorted_values: np.ndarray, levels: tuple[float, ...]) -> l
     return values
 
 
+def _sample_std(values: np.ndarray) -> float:
+    """``np.std(values, ddof=1)`` of a 1-D float array of two or more values, bit for bit.
+
+    The two ``np.add.reduce`` passes numpy's ``_var`` makes, the mean and then
+    the squared deviations, without its keyword and shape handling.
+    """
+    import numpy as np
+
+    n = values.size
+    deviations = values - np.add.reduce(values) / n
+    return math.sqrt(np.add.reduce(deviations * deviations) / (n - 1))
+
+
 def estimate(
     counts: CountTable,
     replicates: int = 1000,
@@ -231,22 +244,21 @@ def estimate(
     q_lo = (1.0 - c) / 2.0
     levels = (q_lo, 1.0 - q_lo)
     labels = [row.label for row in counts.rows]
-    replicate_matrix = np.stack([
-        _context_rng(s, _BOOTSTRAP_STREAM_BASE + _STREAM_ID[row.label])
-        .binomial(row.trials, p_hat[row.label], size=r) / row.trials
-        for row in counts.rows
-    ])
-    lows, highs = _linear_quantiles(np.sort(replicate_matrix, axis=1), levels)
+    replicate_matrix = np.empty((len(labels), r))
+    for row, proportions in zip(counts.rows, replicate_matrix):
+        rng = _context_rng(s, _BOOTSTRAP_STREAM_BASE + _STREAM_ID[row.label])
+        np.divide(rng.binomial(row.trials, p_hat[row.label], size=r), row.trials, out=proportions)
+    boot = dict(zip(labels, replicate_matrix))
+    delta_b = boot["S"] - boot["S1p"] - boot["S2p"]
+    denom = 2.0 * np.sqrt(boot["S1p"] * boot["S2p"])
+    ok = denom > 0.0
+    lam_b = np.divide(delta_b, denom, out=np.full(r, np.nan), where=ok)
+
+    replicate_matrix.sort(axis=1)  # in place: the replicates are not read in draw order again
+    lows, highs = _linear_quantiles(replicate_matrix, levels)
     context_intervals = {
         label: (lo, hi) for label, lo, hi in zip(labels, lows.tolist(), highs.tolist())
     }
-    boot = dict(zip(labels, replicate_matrix))
-
-    delta_b = boot["S"] - boot["S1p"] - boot["S2p"]
-    denom = 2.0 * np.sqrt(boot["S1p"] * boot["S2p"])
-    lam_b = np.full(r, np.nan)
-    ok = denom > 0.0
-    lam_b[ok] = delta_b[ok] / denom[ok]
 
     regime = point.regime
     if isinstance(regime, Trigonometric):
@@ -255,11 +267,13 @@ def estimate(
         same_regime = regime.sign * lam_b > 1.0
     else:
         same_regime = np.isnan(lam_b)
-    regime_stability = float(np.mean(same_regime))
+    regime_stability = float(np.count_nonzero(same_regime)) / r
 
     lambda_interval = None
     if point.lam is not None and bool(ok.any()):
-        lo, hi = _linear_quantiles(np.sort(lam_b[ok]), levels)
+        defined = lam_b[ok]
+        defined.sort()
+        lo, hi = _linear_quantiles(defined, levels)
         lambda_interval = (float(lo), float(hi))
 
     theta_std = None
@@ -271,7 +285,7 @@ def estimate(
                 thetas = np.arccos(match)
             else:
                 thetas = np.arccosh(np.abs(match))
-            theta_std = float(np.std(thetas, ddof=1))
+            theta_std = _sample_std(thetas)
 
     return EstimationReport(
         point=point,

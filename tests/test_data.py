@@ -209,6 +209,22 @@ class TestReportDocument:
         assert "0.10000000000000001" in text  # 0.1 at 17 significant digits
         assert text.endswith("\n")
 
+    def test_subclasses_render_as_their_base_type(self):
+        class Name(str):
+            pass
+
+        class Real(float):
+            pass
+
+        plain = _minimal_doc()
+        subclassed = _minimal_doc(
+            inputs={**plain.inputs, "S": ContextSummary(0.9, Real(9.0), Real(10.0), (0.6, 1.0))},
+            reproducibility=Reproducibility(42, 1000, Name("philox4x64-seedseq-v1")),
+        )
+        assert write_report(subclassed) == write_report(plain)
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            write_report(_minimal_doc(reproducibility=Reproducibility(42, 1000, object())))
+
     def test_inputs_kept_in_canonical_order(self):
         doc = _minimal_doc(
             inputs={
@@ -364,6 +380,13 @@ def test_parse_report_rejects_invalid_utf8():
     assert str(info.value) == "line 1: report is not valid UTF-8"
 
 
+def _degenerate_tree_with_wave():
+    tree = json.loads(write_report(_minimal_doc()))
+    tree.update(lambda_interval=None, regime={"kind": "degenerate", "reason": "p1-prime-zero"})
+    tree["lambda"] = None
+    return tree
+
+
 # Values analyze can never write: each type refuses them, so parsing does too.
 OUT_OF_RANGE = [
     ("seed", ("reproducibility", "seed"), 10**30, "seed must lie in [0, 2**64)"),
@@ -381,6 +404,13 @@ OUT_OF_RANGE = [
     ("interval-above-one", ("inputs", "S", "interval"), [0.5, 1.5], "interval must satisfy 0 <= lo"),
     ("lambda_interval-reversed", ("lambda_interval",), [9.0, 1.0],
      "lambda_interval must satisfy lo <= hi"),
+    ("p_hat-counts", ("inputs", "S", "p_hat"), 0.5, "p_hat must equal successes / trials"),
+    ("additivity-consistent", ("additivity_check",),
+     {"present": True, "z_statistic": 50.0, "consistent": True},
+     "consistent must equal |z_statistic| <= 3"),
+    ("wave-kind-regime", ("wave", "kind"), "complex",
+     "wave kind must be 'split-complex' for a hyperbolic regime"),
+    ("wave-degenerate", (), _degenerate_tree_with_wave(), "wave must be null for a degenerate regime"),
 ]
 
 
@@ -415,6 +445,15 @@ def test_parse_report_refuses_out_of_range_values(path, value, fragment):
         pytest.param(lambda: _minimal_doc(regime=Trigonometric(0.5)), "trigonometric phase",
                      id="regime-contradicts-lam"),
         pytest.param(lambda: _minimal_doc(lam=None), "lam must be None", id="lam-missing"),
+        pytest.param(lambda: ContextSummary(0.9, 1, 10), "p_hat must equal", id="p_hat-counts"),
+        pytest.param(lambda: AdditivityCheck(50.0, True), "consistent", id="inconsistent-z"),
+        pytest.param(lambda: AdditivityCheck(-1.0, False), "consistent", id="consistent-z"),
+        pytest.param(lambda: _minimal_doc(wave=WaveSummary("complex", (1.0, 0.0))), "wave kind",
+                     id="complex-wave-hyperbolic"),
+        pytest.param(lambda: _minimal_doc(lam=0.5, regime=classify(0.5)), "wave kind",
+                     id="split-complex-wave-trigonometric"),
+        pytest.param(lambda: _minimal_doc(lam=None, regime=Degenerate(DegenerateReason.P1_PRIME_ZERO)),
+                     "wave must be null", id="wave-degenerate"),
     ],
 )
 def test_document_types_refuse_out_of_range_values(build, fragment):
@@ -458,15 +497,17 @@ def _ordered_pairs(values):
 
 
 def _summary():
-    # successes and trials come as a pair, both null or 0 <= successes <= trials
-    counts = st.one_of(
-        st.just((None, None)),
-        st.integers(1, 10**9).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))),
+    # successes and trials come as a pair, both null or 0 <= successes <= trials,
+    # and with counts p_hat is successes / trials
+    fields = st.one_of(
+        unit_reals.map(lambda p_hat: (p_hat, None, None)),
+        st.integers(1, 10**9).flatmap(
+            lambda n: st.integers(0, n).map(lambda successes: (successes / n, successes, n))
+        ),
     )
     return st.builds(
-        lambda p_hat, pair, interval: ContextSummary(p_hat, *pair, interval),
-        unit_reals,
-        counts,
+        lambda fields, interval: ContextSummary(*fields, interval),
+        fields,
         st.one_of(st.none(), _ordered_pairs(unit_reals)),
     )
 
@@ -479,12 +520,23 @@ def _points():
     )
 
 
+def _wave(regime, components):
+    # none for a degenerate regime, else the kind of wave its regime carries
+    if components is None or isinstance(regime, Degenerate):
+        return None
+    kind = "complex" if isinstance(regime, Trigonometric) else "split-complex"
+    return WaveSummary(kind, components)
+
+
 def _documents():
     labels = st.sampled_from([("S", "S1p", "S2p"), ("S", "S1", "S2", "S1p", "S2p")])
     return labels.flatmap(
         lambda ls: st.builds(
-            lambda point, **fields: ReportDocument(lam=point[0], regime=point[1], **fields),
+            lambda point, components, **fields: ReportDocument(
+                lam=point[0], regime=point[1], wave=_wave(point[1], components), **fields
+            ),
             _points(),
+            st.one_of(st.none(), st.tuples(finite_reals, finite_reals)),
             schema_version=st.just(SCHEMA_VERSION),
             inputs=st.tuples(*[_summary() for _ in ls]).map(
                 lambda summaries: dict(zip(ls, summaries))
@@ -494,14 +546,8 @@ def _documents():
             regime_stability=st.one_of(st.none(), unit_reals),
             additivity=st.one_of(
                 st.none(),
-                st.builds(AdditivityCheck, z_statistic=finite_reals, consistent=st.booleans()),
-            ),
-            wave=st.one_of(
-                st.none(),
-                st.builds(
-                    WaveSummary,
-                    kind=st.sampled_from(["complex", "split-complex"]),
-                    components=st.tuples(finite_reals, finite_reals),
+                st.one_of(finite_reals, st.floats(-4.0, 4.0)).map(
+                    lambda z: AdditivityCheck(z, abs(z) <= 3.0)
                 ),
             ),
             reproducibility=st.builds(

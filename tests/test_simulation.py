@@ -373,6 +373,17 @@ class TestBootstrapIntervals:
             got = np.array(simulation._linear_quantiles(np.sort(row), levels))
             assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 17, 129, 1000, 100_000])
+    def test_sample_std_matches_numpy_bit_for_bit(self, n):
+        # sizes on both sides of numpy's pairwise-summation blocks
+        rng = np.random.default_rng(n)
+        for values in (
+            rng.normal(size=n), np.arccos(rng.uniform(-1.0, 1.0, size=n)),
+            np.arccosh(1.0 + rng.exponential(size=n)), np.full(n, 0.3), 1e100 * rng.random(size=n),
+        ):
+            want = np.std(values, ddof=1)
+            assert np.float64(simulation._sample_std(values)).view(np.uint64) == want.view(np.uint64)
+
     def test_linear_quantiles_keep_numpy_signed_zeros(self):
         # at v >= n - 1 numpy measures the weight from index -1, which decides
         # the sign of a zero result

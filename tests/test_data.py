@@ -604,7 +604,9 @@ class TestAtomicWrite:
 # with zero and full proportions, R in {0, 1, 2, 17, 1000}, every regime and
 # both wave kinds; 400 documents.  The bootstrap draws come from
 # Generator.binomial, so, like the byte goldens, the digest is fixed for a
-# given numpy version and GENERATOR_NAME.
+# given numpy version and the GENERATOR_NAME it was taken with.  Recapture
+# both with ``python tests/test_data.py``.
+REPORT_DIGEST_GENERATOR = "philox4x64-seedseq-v2"
 REPORT_DIGEST = "6b1d903a20e8690aaabcb370e1f6e6554e3e22080455f5313899231cb008d740"
 _REPORT_REPLICATES = (0, 1, 2, 17, 1000)
 
@@ -669,13 +671,19 @@ def _report_grid():
         yield _report_document(rng, labels)
 
 
-def test_report_bytes_digest():
+def report_digest(docs) -> str:
+    """SHA-256 of write_report over ``docs``; each must read back as itself."""
     h = hashlib.sha256()
-    docs = list(_report_grid())
     for doc in docs:
         blob = write_report(doc)
         assert parse_report(blob) == doc
         h.update(blob)
+    return h.hexdigest()
+
+
+def test_report_bytes_digest():
+    docs = list(_report_grid())
+    digest = report_digest(docs)
     # the grid covers what the gate claims to cover
     assert {len(doc.inputs) for doc in docs} == {3, 5}
     assert {doc.reproducibility.replicates for doc in docs} == set(_REPORT_REPLICATES)
@@ -685,7 +693,11 @@ def test_report_bytes_digest():
     assert min(s.trials for s in summaries) == 1
     assert max(s.trials for s in summaries) == 2**62
     assert {0.0, 1.0} <= {s.p_hat for s in summaries}
-    assert h.hexdigest() == REPORT_DIGEST
+    assert digest == REPORT_DIGEST
+
+
+def test_report_digest_was_taken_with_the_current_generator():
+    assert REPORT_DIGEST_GENERATOR == GENERATOR_NAME
 
 
 # SHA-256 of what parse_counts makes of a seeded corpus of count files: the
@@ -760,3 +772,8 @@ def test_parse_counts_digest():
         h.update(b"\n")
     assert outcomes == {"ok"} | {kind.value for kind in ParseErrorKind} - {"bad-document"}
     assert h.hexdigest() == COUNTS_DIGEST
+
+
+if __name__ == "__main__":
+    print(f"REPORT_DIGEST_GENERATOR = {GENERATOR_NAME!r}")
+    print(f"REPORT_DIGEST = {report_digest(_report_grid())!r}")

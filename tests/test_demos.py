@@ -20,6 +20,8 @@ import ctxprob
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
 
+# The generator the table was captured with; the recapture prints it too.
+GOLDEN_GENERATOR = "philox4x64-seedseq-v2"
 GOLDEN = {
     "01_interference_calculus.py": "a20e7e283924ee7f58976c1f6d0f3646ad8ee313c9a4177bf6bc6535706ec13d",
     "02_wave_reconstruction.py": "68501dd8cd6fb5f67941a983f43cd1b39b85f1a1768dcb229fedcda61f47d4f8",
@@ -45,11 +47,16 @@ def test_golden_table_covers_every_demo():
     assert sorted(p.name for p in DEMO_DIR.glob("*.py")) == sorted(GOLDEN)
 
 
+def test_golden_table_was_taken_with_the_current_generator():
+    assert GOLDEN_GENERATOR == ctxprob.GENERATOR_NAME
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_demo_output_matches_golden(name):
     assert demo_digest(name) == GOLDEN[name]
 
 
 if __name__ == "__main__":
+    print(f"GOLDEN_GENERATOR = {ctxprob.GENERATOR_NAME!r}")
     for name in sorted(p.name for p in DEMO_DIR.glob("*.py")):
         print(f"    {name!r}: {demo_digest(name)!r},")

@@ -24,6 +24,7 @@ import sys
 import pytest
 
 from ctxprob.cli import main
+from ctxprob.simulation import GENERATOR_NAME
 
 # (name, argv); the direct-mode and grid cases have no randomness.
 EXACT_CASES = [
@@ -57,6 +58,8 @@ ANALYZE_SEEDS = ("0", "11")
 # A zero S1p proportion: degenerate point, degenerate replicates.
 ZERO_PROPORTION_COUNTS = b"context,successes,trials\nS,120,400\nS1p,0,400\nS2p,57,400\n"
 
+# The generator the table was captured with; the recapture prints it too.
+GOLDEN_GENERATOR = "philox4x64-seedseq-v2"
 GOLDEN = {
     'range-trig': '339daa08528f7560bde2d982aa8440fe319cf63bacfaaac8c0e3c3d7b87bb3ed',
     'range-hyper': '189d0fe66c24f2f5c05b888aa7296e09b6fe0f73d147f2f09ba1234e095a193c',
@@ -144,6 +147,11 @@ def test_golden_table_covers_every_case(digests):
     assert set(digests) == set(GOLDEN)
 
 
+def test_golden_table_was_taken_with_the_current_generator():
+    assert GOLDEN_GENERATOR == GENERATOR_NAME
+
+
 if __name__ == "__main__":
+    print(f"GOLDEN_GENERATOR = {GENERATOR_NAME!r}")
     for key, value in current_digests().items():
         print(f"    {key!r}: {value!r},")

@@ -15,6 +15,7 @@ from ctxprob.data import (
 from ctxprob import simulation
 from ctxprob.errors import InvalidScenario, RegimeMismatch
 from ctxprob.simulation import (
+    GENERATOR_NAME,
     DirectScenario,
     HyperbolicUrnScenario,
     TwoSlitScenario,
@@ -275,6 +276,63 @@ class TestEstimate:
         assert hits >= 90
 
 
+class TestStreamLayout:
+    """What the stream layout promises, whatever the generator behind it.
+
+    Each context draws on its own stream, so a context's draws depend on its
+    own label, probability and trials and on the seed, and on nothing else;
+    sampling and the bootstrap use disjoint streams of one seed.
+    """
+
+    # exact proportions: every p_hat is a multiple of 1/2**4 over 2**30 trials
+    N = 2**30
+
+    def _rows(self, *pairs):
+        return [(label, int(p * self.N), self.N) for label, p in pairs]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "post", [(0.5, 0.25, 0.1875), (0.9375, 0.0625, 0.0625)], ids=["trig", "hyper"]
+    )
+    def test_extra_contexts_leave_the_bootstrap_unmoved(self, seed, post):
+        p_s, a, b = post
+        bare = self._rows(("S", p_s), ("S1p", a), ("S2p", b))
+        full = bare + self._rows(("S1", p_s / 2), ("S2", p_s / 2))
+        three = estimate(_table(*bare), replicates=500, seed=seed)
+        five = estimate(_table(*full), replicates=500, seed=seed)
+        for label in ("S", "S1p", "S2p"):
+            assert three.context_intervals[label] == five.context_intervals[label]
+        assert three.lambda_interval == five.lambda_interval
+        assert three.regime_stability == five.regime_stability
+        assert three.theta_std == five.theta_std
+        assert three.theta_std is not None
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_other_contexts_counts_leave_a_context_unmoved(self, seed):
+        before = sample_counts(DirectScenario(0.5, 0.25, 0.1875), self.N, seed=seed)
+        after = sample_counts(DirectScenario(0.5, 0.375, 0.1875), self.N, seed=seed)
+        assert before.row("S1p") != after.row("S1p")
+        assert before.row("S2p") == after.row("S2p")
+        rows = self._rows(("S", 0.5), ("S2p", 0.1875))
+        a = estimate(_table(*rows, ("S1p", 1000, self.N)), replicates=200, seed=seed)
+        b = estimate(_table(*rows, ("S1p", 2000, self.N)), replicates=200, seed=seed)
+        assert a.context_intervals["S1p"] != b.context_intervals["S1p"]
+        assert a.context_intervals["S2p"] == b.context_intervals["S2p"]
+        assert a.context_intervals["S"] == b.context_intervals["S"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1])
+    def test_sampling_and_bootstrap_streams_differ(self, seed):
+        # one replicate is one draw on each bootstrap stream; an aliased stream
+        # would give the sampled count again, with the same trials and p
+        pairs = (("S", 0.5), ("S1", 0.25), ("S2", 0.25), ("S1p", 0.5), ("S2p", 0.5))
+        sampled = sample_counts(DirectScenario(0.5, 0.5, 0.5, 0.25, 0.25), self.N, seed=seed)
+        boot = estimate(_table(*self._rows(*pairs)), replicates=1, seed=seed)
+        for label, _ in pairs:
+            lo, hi = boot.context_intervals[label]
+            assert lo == hi
+            assert sampled.row(label).successes != lo * self.N, label
+
+
 class TestThetaRecoveryError:
     def _report(self, p_s, a, b):
         table = _table(
@@ -314,7 +372,9 @@ class TestThetaRecoveryError:
 # contexts, trials from 1 to 2**62, zero and full proportions, and every
 # replicate count and confidence in the grids below.  The bootstrap draws come
 # from ``Generator.binomial``, so, like the byte goldens, the digest is fixed
-# for a given numpy version and ``GENERATOR_NAME``.
+# for a given numpy version and the ``GENERATOR_NAME`` it was taken with.
+# Recapture both with ``python tests/test_simulation.py``.
+ESTIMATE_DIGEST_GENERATOR = "philox4x64-seedseq-v2"
 ESTIMATE_DIGEST = "85bd3f60bbdffd18122483dd63082d9a1d76c7ddfffe99f82356d36e042d1b64"
 _DIGEST_REPLICATES = (1, 2, 3, 5, 17, 100, 1000)
 _DIGEST_CONFIDENCES = (0.5, 0.9, 0.95, 0.99)
@@ -349,6 +409,9 @@ def estimate_digest() -> str:
 class TestBootstrapIntervals:
     def test_estimate_digest(self):
         assert estimate_digest() == ESTIMATE_DIGEST
+
+    def test_estimate_digest_was_taken_with_the_current_generator(self):
+        assert ESTIMATE_DIGEST_GENERATOR == GENERATOR_NAME
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
     def test_linear_quantiles_match_numpy_bit_for_bit(self, n):
@@ -467,3 +530,8 @@ def scenario_digest() -> str:
 
 def test_scenario_digest():
     assert scenario_digest() == SCENARIO_DIGEST
+
+
+if __name__ == "__main__":
+    print(f"ESTIMATE_DIGEST_GENERATOR = {GENERATOR_NAME!r}")
+    print(f"ESTIMATE_DIGEST = {estimate_digest()!r}")

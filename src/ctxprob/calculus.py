@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Sequence, Union
 
@@ -127,12 +128,18 @@ class Trigonometric:
             raise ValueError(f"trigonometric phase must lie in [0, pi], got {self.theta!r}")
 
 
+# Largest hyperbolic phase, about 710.4759: its cosh is the largest finite float.
+_MAX_THETA = math.acosh(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class Hyperbolic:
     """``|lambda| > 1``: the coefficient is sign * cosh(theta), theta > 0.
 
     theta = 0 would mean |lambda| = 1, which the boundary rule assigns to
-    the trigonometric branch, so it is rejected here.
+    the trigonometric branch, so it is rejected here.  theta is at most
+    acosh(largest float), about 710.4759, past which cosh(theta) overflows;
+    :func:`classify` never exceeds it.
     """
 
     kind: ClassVar[str] = "hyperbolic"
@@ -142,8 +149,10 @@ class Hyperbolic:
     def __post_init__(self) -> None:
         if self.sign not in (-1, 1):
             raise ValueError(f"hyperbolic sign must be +1 or -1, got {self.sign!r}")
-        if not (self.theta > 0.0 and math.isfinite(self.theta)):
-            raise ValueError(f"hyperbolic phase must be finite and > 0, got {self.theta!r}")
+        if not (0.0 < self.theta <= _MAX_THETA):
+            raise ValueError(
+                f"hyperbolic phase must lie in (0, {_MAX_THETA!r}], got {self.theta!r}"
+            )
 
 
 @dataclass(frozen=True)

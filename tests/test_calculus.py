@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,16 @@ class TestClassify:
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(NonFinite):
                 classify(bad)
+
+    def test_hyperbolic_phase_bound(self):
+        # the largest phase whose cosh is finite; classify reaches it at the largest float
+        bound = math.acosh(sys.float_info.max)
+        assert math.isfinite(math.cosh(bound))
+        assert classify(-sys.float_info.max) == Hyperbolic(sign=-1, theta=bound)
+        beyond = math.nextafter(bound, math.inf)
+        for theta in (beyond, 1000.0, math.inf, math.nan, 0.0):
+            with pytest.raises(ValueError, match="hyperbolic phase must lie in"):
+                Hyperbolic(sign=1, theta=theta)
 
     @given(lam=st.floats(min_value=-1.0, max_value=1.0))
     def test_trigonometric_inverse(self, lam):

@@ -398,6 +398,7 @@ OUT_OF_RANGE = [
     ("regime_stability", ("regime_stability",), -3.0, "regime_stability must lie in [0, 1]"),
     ("successes-alone", ("inputs", "S", "trials"), None, "successes and trials must be both"),
     ("lambda-regime", ("regime",), {"kind": "trigonometric", "theta": 0.5}, "trigonometric phase"),
+    ("theta-overflow", ("regime", "theta"), 1000.0, "hyperbolic phase must lie in (0, 710.47"),
     ("lambda-degenerate", ("regime",), {"kind": "degenerate", "reason": "p1-prime-zero"},
      "lam must be None exactly for a degenerate regime"),
     ("interval-reversed", ("inputs", "S", "interval"), [5.0, -3.0], "interval must satisfy 0 <= lo"),

@@ -12,15 +12,18 @@ A scenario is its ground truth: each of the three families returns the
   while the post-transition pair deviates strongly (``|lambda| > 1``).
 
 Each context is an independent experimental run.  Its successes are one
-``Binomial(trials, p)`` draw, O(1) in ``trials``, from a Philox (4x64)
-substream keyed by ``SeedSequence((seed, stream_id))``, so adding a context
-never shifts another context's draws.  Stream ids 0-4 are the context
-sampling streams in :data:`CONTEXT_LABELS` order; bootstrap resampling uses
-ids 16-20 so that reusing one seed across the pipeline never aliases
-streams.  ``Generator.binomial`` is outside numpy's stream-compatibility
-policy (NEP 19), so a seed's counts are fixed for a given numpy version.
-numpy is imported only by the code that draws (the substream constructor
-and the bootstrap), so scenarios and the constants load without it.
+``Binomial(trials, p)`` draw, O(1) in ``trials``, on the context's own
+stream.  Stream ``j`` of a seed ``s`` is
+``Generator(Philox(SeedSequence(s), counter=[0, 0, 0, j]))``: one Philox
+(4x64) key per seed, and a block of 2**192 counter values per stream, so
+adding a context never shifts another context's draws.  Stream ids 0-4 are
+the context sampling streams in :data:`CONTEXT_LABELS` order; bootstrap
+resampling uses ids 16-20 so that reusing one seed across the pipeline
+never aliases streams.  ``Generator.binomial`` is outside numpy's
+stream-compatibility policy (NEP 19), so a seed's counts are fixed for a
+given numpy version.  numpy is imported only by the code that draws (the
+stream constructor and the bootstrap), so scenarios and the constants load
+without it.
 """
 
 from __future__ import annotations
@@ -43,21 +46,39 @@ from .data import _INTEGER_BOUND, CONTEXT_LABELS, CountRow, CountTable, context_
 from .errors import InvalidScenario, RegimeMismatch
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     import numpy as np
 
 _STREAM_ID = {label: i for i, label in enumerate(CONTEXT_LABELS)}
 _BOOTSTRAP_STREAM_BASE = 16
 
-GENERATOR_NAME = "philox4x64-seedseq-v2"
+GENERATOR_NAME = "philox4x64-counterblock-v3"
 
 MAX_REPLICATES = 10**6
 """Upper bound on bootstrap replicates: at the cap each replicate array holds 8 MB."""
 
 
-def _context_rng(seed: int, stream: int) -> np.random.Generator:
+def _seed_streams(seed: int) -> Callable[[int], np.random.Generator]:
+    """Streams of one seed: ``stream(j)`` draws like
+    ``Generator(Philox(SeedSequence(seed), counter=[0, 0, 0, j]))``.
+
+    The seed is hashed and keyed once.  Each call rewinds the one generator
+    to the start of block ``j`` and returns it, so a stream is used up
+    before the next one is taken.
+    """
     import numpy as np
 
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream))))
+    bit_generator = np.random.Philox(np.random.SeedSequence(seed))
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state  # a fresh state: streams differ only in the counter
+
+    def stream(j: int) -> np.random.Generator:
+        state["state"]["counter"] = (0, 0, 0, j)
+        bit_generator.state = state
+        return rng
+
+    return stream
 
 
 def _check_seed(seed) -> int:
@@ -151,16 +172,16 @@ def sample_counts(scenario: Scenario, trials_per_context: int, seed: int = 0) ->
     """Draw finite counts for every context whose probability a scenario's triple carries.
 
     Each context's successes are one Binomial(trials_per_context, p) draw on its
-    own substream; ``trials_per_context`` lies in [1, 2**63) like a count file.
+    own stream; ``trials_per_context`` lies in [1, 2**63) like a count file.
     """
     n = int(trials_per_context)
     if n != trials_per_context or not (1 <= n < _INTEGER_BOUND):
         raise ValueError(
             f"trials_per_context must be an integer in [1, 2**63), got {trials_per_context!r}"
         )
-    s = _check_seed(seed)
+    stream = _seed_streams(_check_seed(seed))
     rows = [
-        CountRow(label, int(_context_rng(s, _STREAM_ID[label]).binomial(n, p)), n)
+        CountRow(label, int(stream(_STREAM_ID[label]).binomial(n, p)), n)
         for label, p in context_probabilities(scenario).items()
     ]
     return CountTable(tuple(rows))
@@ -207,10 +228,11 @@ def estimate(
 
     The point estimate plugs the per-context success proportions into the
     calculus.  Uncertainty comes from a parametric bootstrap: each context's
-    successes are redrawn from Binomial(trials, p_hat) on a dedicated
-    substream, the coefficient is recomputed per replicate, and intervals
-    are Hyndman-Fan type 7 percentiles (numpy's default ``linear``) of the
-    sorted replicates.  A zero post-transition proportion is flagged as a
+    successes are redrawn from Binomial(trials, p_hat) on its own bootstrap
+    stream of ``seed``, id 16 plus its sampling stream id, so its replicates
+    depend on its own row alone.  The coefficient is recomputed per
+    replicate, and intervals are Hyndman-Fan type 7 percentiles (numpy's
+    default ``linear``) of the sorted replicates.  A zero post-transition proportion is flagged as a
     degenerate point regime, never raised; replicates with a degenerate
     denominator carry no coefficient and are classified degenerate for
     stability purposes.  ``replicates`` lies in [0, :data:`MAX_REPLICATES`].
@@ -245,8 +267,9 @@ def estimate(
     levels = (q_lo, 1.0 - q_lo)
     labels = [row.label for row in counts.rows]
     replicate_matrix = np.empty((len(labels), r))
+    stream = _seed_streams(s)
     for row, proportions in zip(counts.rows, replicate_matrix):
-        rng = _context_rng(s, _BOOTSTRAP_STREAM_BASE + _STREAM_ID[row.label])
+        rng = stream(_BOOTSTRAP_STREAM_BASE + _STREAM_ID[row.label])
         np.divide(rng.binomial(row.trials, p_hat[row.label], size=r), row.trials, out=proportions)
     boot = dict(zip(labels, replicate_matrix))
     delta_b = boot["S"] - boot["S1p"] - boot["S2p"]

@@ -333,6 +333,38 @@ class TestStreamLayout:
             assert sampled.row(label).successes != lo * self.N, label
 
 
+class TestStreamDefinition:
+    """The streams behind ``GENERATOR_NAME``, against their definition:
+    stream ``j`` of seed ``s`` is
+    ``Generator(Philox(SeedSequence(s), counter=[0, 0, 0, j]))``."""
+
+    STREAMS = (0, 1, 2, 3, 4, 16, 17, 18, 19, 20)
+    # scalar and vector draws mixed, with trials up to 2**63 - 1 and p of 0 and 1
+    DRAWS = (
+        (1, 0.5, None), (10**7, 0.3, None), (2**63 - 1, 0.25, 1000), (2**63 - 1, 0.0, None),
+        (1000, 1.0, 1000), (2**63 - 1, 1.0, None), (40, 0.999, 1000), (2**62, 0.7, None),
+        (1000, 0.0, 1000), (25, 0.5, 1000),
+    )
+
+    def _draws(self, rng):
+        return [np.asarray(rng.binomial(n, p, size=size)).tolist() for n, p, size in self.DRAWS]
+
+    def test_generator_name(self):
+        assert GENERATOR_NAME == "philox4x64-counterblock-v3"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_streams_match_their_definition(self, seed):
+        shuffle = random.Random(seed)
+        first = shuffle.sample(self.STREAMS, len(self.STREAMS))
+        again = shuffle.sample(self.STREAMS, len(self.STREAMS))
+        stream = simulation._seed_streams(seed)
+        for j in first + again:
+            fresh = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence(seed), counter=[0, 0, 0, j])
+            )
+            assert self._draws(stream(j)) == self._draws(fresh), (seed, j)
+
+
 class TestThetaRecoveryError:
     def _report(self, p_s, a, b):
         table = _table(

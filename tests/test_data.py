@@ -607,8 +607,8 @@ class TestAtomicWrite:
 # Generator.binomial, so, like the byte goldens, the digest is fixed for a
 # given numpy version and the GENERATOR_NAME it was taken with.  Recapture
 # both with ``python tests/test_data.py``.
-REPORT_DIGEST_GENERATOR = "philox4x64-seedseq-v2"
-REPORT_DIGEST = "6b1d903a20e8690aaabcb370e1f6e6554e3e22080455f5313899231cb008d740"
+REPORT_DIGEST_GENERATOR = "philox4x64-counterblock-v3"
+REPORT_DIGEST = "ac6d60933c31f6e93e821d58963ee7f12114efad17ff56b7f2f6e9ae07a81ea1"
 _REPORT_REPLICATES = (0, 1, 2, 17, 1000)
 
 

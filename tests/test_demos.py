@@ -21,12 +21,12 @@ import ctxprob
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
 
 # The generator the table was captured with; the recapture prints it too.
-GOLDEN_GENERATOR = "philox4x64-seedseq-v2"
+GOLDEN_GENERATOR = "philox4x64-counterblock-v3"
 GOLDEN = {
     "01_interference_calculus.py": "a20e7e283924ee7f58976c1f6d0f3646ad8ee313c9a4177bf6bc6535706ec13d",
     "02_wave_reconstruction.py": "68501dd8cd6fb5f67941a983f43cd1b39b85f1a1768dcb229fedcda61f47d4f8",
-    "03_two_slit_estimation.py": "160405467f8e5d6d176c26fc69957d02b26c65d85757f5f8be5e836857f1804a",
-    "04_hyperbolic_urn.py": "7e609b16deb18bcdd893665811517a50ceaa3622629573086d6299af0b317aee",
+    "03_two_slit_estimation.py": "458d9d0add6e9fe5b85bc6b2b0a067043214b2fc25294fac99795846c8e061be",
+    "04_hyperbolic_urn.py": "6aef4707d8ac6b939b1d5dc376b40a1b4a31fb73a423ecbfde63e221c6119fd3",
     "05_correspondence_principle.py": "944d0be060eb8d3dffb6458e8295ff7e76bcc8fe98c6ddcf9b68cbd0c649dfdb",
 }
 

@@ -9,12 +9,16 @@ digest unchanged.
 The only accepted reason to recapture the ``simulate`` count digests (and
 the ``analyze`` digests, which carry ``generator_name`` and, for simulated
 files, the counts) is a deliberate bump of ``GENERATOR_NAME``, which changes
-the random stream on purpose.  The ``range``, ``sweep`` and ``truth``
-digests never move.  Recapture with ``python tests/test_golden.py``, which
-prints the current table.  They were last recaptured for
-``philox4x64-seedseq-v2``, which draws each context's successes as one
-binomial variate; every ``analyze`` output that does not read simulated
-counts differed from v1 only in ``generator_name``.
+the random stream on purpose; ``GOLDEN_GENERATOR`` records the generator the
+table was taken with, and a test holds it to the current one.  The
+``range``, ``sweep`` and ``truth`` digests never move.  Recapture with
+``python tests/test_golden.py``, which prints the current table; the other
+draw-dependent tables (``tests/test_demos.py``, ``tests/test_simulation.py``
+and ``tests/test_data.py``) print theirs the same way.  They were last
+recaptured for ``philox4x64-counterblock-v3``, which keys each seed once and
+gives each context its own Philox counter block; every ``analyze`` output
+that does not read simulated counts differed from v2 only in
+``generator_name``.
 """
 
 import hashlib
@@ -59,34 +63,34 @@ ANALYZE_SEEDS = ("0", "11")
 ZERO_PROPORTION_COUNTS = b"context,successes,trials\nS,120,400\nS1p,0,400\nS2p,57,400\n"
 
 # The generator the table was captured with; the recapture prints it too.
-GOLDEN_GENERATOR = "philox4x64-seedseq-v2"
+GOLDEN_GENERATOR = "philox4x64-counterblock-v3"
 GOLDEN = {
     'range-trig': '339daa08528f7560bde2d982aa8440fe319cf63bacfaaac8c0e3c3d7b87bb3ed',
     'range-hyper': '189d0fe66c24f2f5c05b888aa7296e09b6fe0f73d147f2f09ba1234e095a193c',
     'sweep-trig': '7cd289c64d7865edf379317af9ff9bd182f777f806e5adba030fc9941f1b68fc',
     'sweep-cross': 'a91c8fc04dde9e142d9f0a0f6e6de15711421afb73a8e24333f0069b4e5e65f9',
-    'analyze-3': 'ba24f38689247ee5ecfeec24d16ea0efd17fc2b5e79778b8c22ef5aaccb1cc63',
-    'analyze-5': '6b8aa51868fb16f965adacf8ffaae0367fa9c534dfe4a6ce3798f6973c8456b3',
-    'analyze-degenerate': 'f7a2c94fb16328d2c07eb38bdc149b9c8d06cae4ad59b7c60f513f0b5161cba8',
-    'analyze-neg-hyper': '435487e19d96343d0f97598e68ca888a2346eb161e6a957461c12f1169bd65c0',
-    'sim-two-slit.counts': '716400d144fb29118f4a2e5ae61a2a611077b0ca745ac0dfe9790b447d9a10d4',
+    'analyze-3': '04ebf902b42601ca8d735c45e35fddeb96a41a2ac5b89faa4f20b8f32f935d1a',
+    'analyze-5': '36ffd51ea2cbe839ac246425d601276471e88e13d5189e074aacef30bd6e829a',
+    'analyze-degenerate': '9a9ca6487c44f32214f29af749fdaf8f0a938b54e99c77a32102941f6af4780a',
+    'analyze-neg-hyper': 'abe85ec9a09a71f636dd10a9ef17d429db64368b1623c62c8dd3e112a08129a4',
+    'sim-two-slit.counts': 'e91cface63d44fe15e826513b1b46d42a0053ef3bed054757808f7bfca1f7b75',
     'sim-two-slit.truth': '990450d17b728ff399493af01ccf21bf2f2760630edebb69cec99f76b8284217',
-    'sim-urn.counts': '379b4e9b43eb3e7215dabf9cb0a736cca9412d136319d5b4767cf8fd4febf56c',
+    'sim-urn.counts': 'b817846ed66a5021e439a2a0383e54bbbb11207852089ee93b5a62bf1e182f72',
     'sim-urn.truth': 'f725b467f40aa49d880ea850dcdaff715f374bc99451e72932b674ff879b4464',
-    'sim-direct-3.counts': 'c7e081b1f016e18a23691ae7465e98647382eb05f786b94c538caf7d0cfac2b6',
+    'sim-direct-3.counts': 'ded3c9ac5160edd052ac847438138e999a95bac5677bb66f568c6de77eae940d',
     'sim-direct-3.truth': 'fd62a6e2155659ee5949b9e92e8148dfb8c754671e95b2f00da0fb007c51a204',
-    'sim-direct-5.counts': '221d3eeed2a0d5e34f77e28bf47aab6c06589bb6110317571550bfdbfe3b436a',
+    'sim-direct-5.counts': '1d615c2b38213b39b0cd4880450903a706d8f1c730359284dca05cce83dec76f',
     'sim-direct-5.truth': '6acdf64d4f8238c5d40e96bc991a0ba77f2a6638264ec3682188b8d0f2620bf4',
-    'zero-proportion.analyze-seed0': '09a003ddc93757bd860940998cbdeade7b7b1e9375fc065e5818aab86f71ad18',
-    'zero-proportion.analyze-seed11': '2405a04fed290a9293f49c08008ffd0d6a43e8f3d69606d95e83fe0f4c5bc1db',
-    'sim-two-slit.analyze-seed0': 'e59c501697984d91cf636b6c3ce612c68dd12a20de12b66ee87b7b21272b176c',
-    'sim-two-slit.analyze-seed11': 'ac048c2bc886cadf99cee4b8dd7d7651c2bf129c542c67883f1e64d77bc4b961',
-    'sim-urn.analyze-seed0': 'd9994d2c995968197aa619899b08a05a1f1d763a039d23df26f61613c73dada3',
-    'sim-urn.analyze-seed11': '86af74d060b66a7a8fd1f6c2b8e768df748ee25d07b3aa67b102aa6c3e95cc29',
-    'sim-direct-3.analyze-seed0': 'b1298f5f7a0ce88787b1194cd9df95c8397c47399e4b3c14985c7f1ad7fa5443',
-    'sim-direct-3.analyze-seed11': 'dd9b3d75956c1533abbdeaad465fae673e0a0645152dfce8d9bf13e3bf403bf7',
-    'sim-direct-5.analyze-seed0': 'cbca75e8eef3e75ed35099ba870e0c22d059e841b25a752a21597a0af1b64a2d',
-    'sim-direct-5.analyze-seed11': '9f97efd75838feb8c20918f93f01dee31b30409611676f35fd3a6794855acc2e',
+    'zero-proportion.analyze-seed0': '24c5ec15bfe8929cbb882b7997ecb97f60344aa62caee4ee58a56ab625020e5e',
+    'zero-proportion.analyze-seed11': '4338275e7af2cc380e100e097331ab3a961b8401b99686f3140783fadfcb3c76',
+    'sim-two-slit.analyze-seed0': '3b560709b9296a4f2936ee8233310a7cf7487edd094e7289bee7f8a5f4dbe4b3',
+    'sim-two-slit.analyze-seed11': '65e6c726e9286261f2448498aa2852c280177f36978988ce17bedc7dc2ecc839',
+    'sim-urn.analyze-seed0': '4d6883f4b7ffe2a7df732128ecf4d125a75c506b1c0da07754393dfed77364c2',
+    'sim-urn.analyze-seed11': '07a368f2c1d061e8d15283d58c8f92c4924fbfeab9acd369835788d815e45388',
+    'sim-direct-3.analyze-seed0': 'fd40235da0e5d3ceec01d7951029197ce6f6ba1571d69a04c30ccc65d4e7db23',
+    'sim-direct-3.analyze-seed11': 'c5b8fa468e0bd7aca066bd9d3d4d196a2f81a1d4886b0fd01c8aa57918fdfed2',
+    'sim-direct-5.analyze-seed0': 'ac7d33a8d4f5c1940ee94d773282f9ca1112d6ac6e86e98f8628cd3ef179aa11',
+    'sim-direct-5.analyze-seed11': '7648e6210973a237f625f71dde8af4225887bd2d7272bdd70ca3d1858da8102e',
 }
 
 

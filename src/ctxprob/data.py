@@ -337,7 +337,11 @@ class WaveSummary:
 
 @dataclass(frozen=True)
 class Reproducibility:
-    """Everything needed to regenerate the randomized parts of a report."""
+    """Seed, replicate count and generator behind the randomized parts of a report.
+
+    Regenerating a counts-file report also needs the ``--confidence`` it was
+    made with, which schema version 1 does not record.
+    """
 
     seed: int
     replicates: int

@@ -137,9 +137,8 @@ class Hyperbolic:
     """``|lambda| > 1``: the coefficient is sign * cosh(theta), theta > 0.
 
     theta = 0 would mean |lambda| = 1, which the boundary rule assigns to
-    the trigonometric branch, so it is rejected here.  theta is at most
-    acosh(largest float), about 710.4759, past which cosh(theta) overflows;
-    :func:`classify` never exceeds it.
+    the trigonometric branch, so it is rejected here; above ``_MAX_THETA``
+    cosh(theta) overflows, and :func:`classify` never goes there.
     """
 
     kind: ClassVar[str] = "hyperbolic"
@@ -150,9 +149,7 @@ class Hyperbolic:
         if self.sign not in (-1, 1):
             raise ValueError(f"hyperbolic sign must be +1 or -1, got {self.sign!r}")
         if not (0.0 < self.theta <= _MAX_THETA):
-            raise ValueError(
-                f"hyperbolic phase must lie in (0, {_MAX_THETA!r}], got {self.theta!r}"
-            )
+            raise ValueError(f"hyperbolic phase must lie in (0, {_MAX_THETA!r}], got {self.theta!r}")
 
 
 @dataclass(frozen=True)

@@ -60,18 +60,16 @@ MAX_REPLICATES = 10**6
 
 
 def _seed_streams(seed: int) -> Callable[[int], np.random.Generator]:
-    """Streams of one seed: ``stream(j)`` draws like
-    ``Generator(Philox(SeedSequence(seed), counter=[0, 0, 0, j]))``.
+    """``stream(j)`` draws like ``Generator(Philox(SeedSequence(seed), counter=[0, 0, 0, j]))``.
 
-    The seed is hashed and keyed once.  Each call rewinds the one generator
-    to the start of block ``j`` and returns it, so a stream is used up
-    before the next one is taken.
+    The seed is keyed once; each call rewinds the one generator to block
+    ``j``, so a stream is used up before the next one is taken.
     """
     import numpy as np
 
     bit_generator = np.random.Philox(np.random.SeedSequence(seed))
     rng = np.random.Generator(bit_generator)
-    state = bit_generator.state  # a fresh state: streams differ only in the counter
+    state = bit_generator.state  # fresh: streams differ only in the counter
 
     def stream(j: int) -> np.random.Generator:
         state["state"]["counter"] = (0, 0, 0, j)

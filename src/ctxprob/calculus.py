@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Sequence, Union
 
@@ -129,7 +128,7 @@ class Trigonometric:
 
 
 # Largest hyperbolic phase, about 710.4759: its cosh is the largest finite float.
-_MAX_THETA = math.acosh(sys.float_info.max)
+_MAX_THETA = math.acosh(math.nextafter(math.inf, 0.0))
 
 
 @dataclass(frozen=True)

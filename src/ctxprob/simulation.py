@@ -230,10 +230,11 @@ def estimate(
     stream of ``seed``, id 16 plus its sampling stream id, so its replicates
     depend on its own row alone.  The coefficient is recomputed per
     replicate, and intervals are Hyndman-Fan type 7 percentiles (numpy's
-    default ``linear``) of the sorted replicates.  A zero post-transition proportion is flagged as a
-    degenerate point regime, never raised; replicates with a degenerate
-    denominator carry no coefficient and are classified degenerate for
-    stability purposes.  ``replicates`` lies in [0, :data:`MAX_REPLICATES`].
+    default ``linear``) of the sorted replicates.  A zero post-transition
+    proportion is flagged as a degenerate point regime, never raised;
+    replicates with a degenerate denominator carry no coefficient and are
+    classified degenerate for stability purposes.  ``replicates`` lies in
+    [0, :data:`MAX_REPLICATES`].
     """
     r = int(replicates)
     if r != replicates or not (0 <= r <= MAX_REPLICATES):

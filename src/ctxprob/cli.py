@@ -21,7 +21,6 @@ from typing import Iterable
 
 from .calculus import (
     ContextTriple,
-    Degenerate,
     Hyperbolic,
     Probability,
     analyze,
@@ -163,8 +162,8 @@ def _write_output(path: str, chunks: Iterable[bytes]) -> None:
 def _cmd_analyze(args) -> int:
     from .amplitudes import wave_from_analysis
     from .data import (
-        SCHEMA_VERSION, ContextSummary, ReportDocument, Reproducibility, WaveSummary,
-        additivity_check, context_probabilities, parse_counts, write_report,
+        SCHEMA_VERSION, ContextSummary, ReportDocument, Reproducibility, additivity_check,
+        context_probabilities, parse_counts, write_report,
     )
     from .simulation import GENERATOR_NAME, MAX_REPLICATES, estimate
 
@@ -186,7 +185,7 @@ def _cmd_analyze(args) -> int:
         raise _UsageError(f"--confidence must lie in (0, 1), got {confidence}")
     seed = _check_seed_flag(args.seed)
 
-    # The modes differ in their inputs, point analysis, wave reference pair and bootstrap fields.
+    # The modes differ in their inputs, point analysis and bootstrap fields.
     if file_mode:
         source = "<stdin>" if args.counts == "-" else args.counts
         counts = parse_counts(_read_input(args.counts), source=source).table
@@ -197,19 +196,18 @@ def _cmd_analyze(args) -> int:
             )
             for row in counts.rows
         }
-        point, reference = report.point, (counts.proportion("S1p"), counts.proportion("S2p"))
+        point = report.point
         lambda_interval, regime_stability = report.lambda_interval, report.regime_stability
         additivity = additivity_check(counts)
     else:
         triple = _flag_triple(args)
         inputs = {label: ContextSummary(p) for label, p in context_probabilities(triple).items()}
-        point, reference = analyze(triple), (triple.p1_prime, triple.p2_prime)
+        point = analyze(triple)
         lambda_interval = regime_stability = additivity = None
         replicates = 0
     wave = None
-    if not isinstance(point.regime, Degenerate):
-        amplitude = wave_from_analysis(*reference, point)
-        wave = WaveSummary(amplitude.kind, amplitude.components)
+    if point.lam is not None:  # None exactly for a degenerate regime, which has no wave
+        wave = wave_from_analysis(inputs["S1p"].p_hat, inputs["S2p"].p_hat, point)
     doc = ReportDocument(
         schema_version=SCHEMA_VERSION,
         inputs=inputs,

@@ -161,19 +161,20 @@ class AdditivityCheck:
             )
 
 
-def _read_count(text: str, name: str, source: str, lineno: int) -> int:
+class _CountError(Exception):
+    """A count-file defect as (kind, message); parse_counts adds the source and line."""
+
+
+def _read_count(text: str, name: str) -> int:
     """One count field: ASCII digits only, below 2**63 with at most 19 of them."""
     if not (text.isascii() and text.isdigit()):
-        raise ParseError(
-            f"{source}: {name} must be a non-negative integer, got {text!r}",
-            line=lineno,
-            kind=ParseErrorKind.BAD_INTEGER,
+        raise _CountError(
+            ParseErrorKind.BAD_INTEGER, f"{name} must be a non-negative integer, got {text!r}"
         )
     if len(text) > _MAX_DIGITS or (value := int(text)) >= _INTEGER_BOUND:
-        raise ParseError(
-            f"{source}: {name} must be below 2**63 with at most {_MAX_DIGITS} digits",
-            line=lineno,
-            kind=ParseErrorKind.INTEGER_OUT_OF_RANGE,
+        raise _CountError(
+            ParseErrorKind.INTEGER_OUT_OF_RANGE,
+            f"{name} must be below 2**63 with at most {_MAX_DIGITS} digits",
         )
     return value
 
@@ -194,71 +195,58 @@ def parse_counts(text: bytes | str, source: str = "<memory>") -> CountFile:
     rows: list[CountRow] = []
     line_numbers: dict[str, int] = {}
     header_seen = False
-    last_line = max(len(lines), 1)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r")
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if not header_seen:
-            if line != COUNTS_HEADER:
-                raise ParseError(
-                    f"{source}: expected header {COUNTS_HEADER!r}, got {line!r}",
-                    line=lineno,
-                    kind=ParseErrorKind.BAD_HEADER,
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.rstrip("\r")
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if not header_seen:
+                if line != COUNTS_HEADER:
+                    raise _CountError(
+                        ParseErrorKind.BAD_HEADER,
+                        f"expected header {COUNTS_HEADER!r}, got {line!r}",
+                    )
+                header_seen = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise _CountError(
+                    ParseErrorKind.MALFORMED_ROW,
+                    f"expected 3 comma-separated fields, got {len(parts)}",
                 )
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(
-                f"{source}: expected 3 comma-separated fields, got {len(parts)}",
-                line=lineno,
-                kind=ParseErrorKind.MALFORMED_ROW,
+            label, successes_text, trials_text = parts
+            if label not in CONTEXT_LABELS:
+                raise _CountError(ParseErrorKind.UNKNOWN_LABEL, f"unknown context label {label!r}")
+            if label in line_numbers:
+                raise _CountError(
+                    ParseErrorKind.DUPLICATE_LABEL,
+                    f"duplicate context label {label!r} (first seen at line {line_numbers[label]})",
+                )
+            successes = _read_count(successes_text, "successes")
+            trials = _read_count(trials_text, "trials")
+            if trials == 0:
+                raise _CountError(ParseErrorKind.ZERO_TRIALS, "trials must be positive")
+            if successes > trials:
+                raise _CountError(
+                    ParseErrorKind.SUCCESSES_EXCEED_TRIALS,
+                    f"successes {successes} exceed trials {trials}",
+                )
+            line_numbers[label] = lineno
+            rows.append(CountRow(label, successes, trials))
+        # split gives at least one line, so lineno is now the last: whole-file errors point there
+        if not header_seen:
+            raise _CountError(
+                ParseErrorKind.BAD_HEADER, f"empty input, expected header {COUNTS_HEADER!r}"
             )
-        label, successes_text, trials_text = parts
-        if label not in CONTEXT_LABELS:
-            raise ParseError(
-                f"{source}: unknown context label {label!r}",
-                line=lineno,
-                kind=ParseErrorKind.UNKNOWN_LABEL,
+        missing = [label for label in _REQUIRED_LABELS if label not in line_numbers]
+        if missing:
+            raise _CountError(
+                ParseErrorKind.MISSING_LABELS, f"missing required context rows {missing!r}"
             )
-        if label in line_numbers:
-            raise ParseError(
-                f"{source}: duplicate context label {label!r} "
-                f"(first seen at line {line_numbers[label]})",
-                line=lineno,
-                kind=ParseErrorKind.DUPLICATE_LABEL,
-            )
-        successes = _read_count(successes_text, "successes", source, lineno)
-        trials = _read_count(trials_text, "trials", source, lineno)
-        if trials == 0:
-            raise ParseError(
-                f"{source}: trials must be positive",
-                line=lineno,
-                kind=ParseErrorKind.ZERO_TRIALS,
-            )
-        if successes > trials:
-            raise ParseError(
-                f"{source}: successes {successes} exceed trials {trials}",
-                line=lineno,
-                kind=ParseErrorKind.SUCCESSES_EXCEED_TRIALS,
-            )
-        line_numbers[label] = lineno
-        rows.append(CountRow(label, successes, trials))
-    if not header_seen:
-        raise ParseError(
-            f"{source}: empty input, expected header {COUNTS_HEADER!r}",
-            line=last_line,
-            kind=ParseErrorKind.BAD_HEADER,
-        )
-    missing = [label for label in _REQUIRED_LABELS if label not in line_numbers]
-    if missing:
-        raise ParseError(
-            f"{source}: missing required context rows {missing!r}",
-            line=last_line,
-            kind=ParseErrorKind.MISSING_LABELS,
-        )
+    except _CountError as e:
+        kind, message = e.args
+        raise ParseError(f"{source}: {message}", line=lineno, kind=kind) from None
     return CountFile(table=CountTable(tuple(rows)), source=source, line_numbers=line_numbers)
 
 
@@ -319,20 +307,16 @@ class ContextSummary:
             raise ValueError(f"interval must satisfy 0 <= lo <= hi <= 1, got {self.interval!r}")
 
 
-@dataclass(frozen=True)
-class WaveSummary:
-    """Wave components attached to a report: complex or split-complex."""
-
-    kind: str
-    components: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        kinds = (ComplexAmplitude.kind, SplitComplexAmplitude.kind)
-        if self.kind not in kinds:
-            raise ValueError(f"wave kind must be {kinds[0]!r} or {kinds[1]!r}, got {self.kind!r}")
-        object.__setattr__(
-            self, "components", (float(self.components[0]), float(self.components[1]))
-        )
+def WaveSummary(kind, components) -> ComplexAmplitude | SplitComplexAmplitude:
+    """The wave a report carries: the amplitude of ``kind`` with these two float components."""
+    # == rather than a dict lookup: a parsed kind may be any JSON value, lists included
+    for wave_type in (ComplexAmplitude, SplitComplexAmplitude):
+        if kind == wave_type.kind:
+            return wave_type(float(components[0]), float(components[1]))
+    raise ValueError(
+        f"wave kind must be {ComplexAmplitude.kind!r} or {SplitComplexAmplitude.kind!r}, "
+        f"got {kind!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -366,7 +350,7 @@ class ReportDocument:
     lambda_interval: tuple[float, float] | None
     regime_stability: float | None
     additivity: AdditivityCheck | None
-    wave: WaveSummary | None
+    wave: ComplexAmplitude | SplitComplexAmplitude | None
     reproducibility: Reproducibility
 
     def __post_init__(self) -> None:
@@ -418,8 +402,6 @@ def _render(node, pad: str) -> str:
     if isinstance(node, str):
         return _quote(node)
     if isinstance(node, dict):
-        if not node:
-            return "{}"
         inner = pad + "  "
         members = [f"{inner}{_quote(k)}: {_render(v, inner)}" for k, v in node.items()]
         return "{\n" + ",\n".join(members) + "\n" + pad + "}"
@@ -469,7 +451,7 @@ def _document_tree(doc: ReportDocument) -> dict:
         }
     wave = None
     if doc.wave is not None:
-        wave = {"kind": doc.wave.kind, "components": list(doc.wave.components)}
+        wave = {"kind": doc.wave.kind, "components": _pair(doc.wave.components)}
     return {
         "schema_version": doc.schema_version,
         "inputs": inputs,

@@ -13,7 +13,11 @@ starting with ``#`` are ignored.
 Reports serialize to a canonical JSON document: fixed key order, real
 numbers rendered with 17 significant digits (enough to round-trip doubles
 exactly), newline-terminated.  ``parse_report(write_report(doc))`` always
-returns a document equal to ``doc``.
+returns a document equal to ``doc``: the document types refuse every value
+the writer could not write back, such as NaN, infinities and fractional counts.
+A report's wave is the :class:`~ctxprob.amplitudes.ComplexAmplitude` or
+:class:`~ctxprob.amplitudes.SplitComplexAmplitude` that
+:func:`~ctxprob.amplitudes.wave_from_analysis` returns.
 """
 
 from __future__ import annotations
@@ -63,11 +67,11 @@ class CountRow:
     def __post_init__(self) -> None:
         if self.label not in CONTEXT_LABELS:
             raise ValueError(f"unknown context label {self.label!r}")
-        if int(self.trials) != self.trials or self.trials < 1:
+        if self.trials % 1 != 0 or self.trials < 1:
             raise ZeroTrials(f"{self.label}: trials must be a positive integer, got {self.trials!r}")
         if self.trials >= _INTEGER_BOUND:
             raise ValueError(f"{self.label}: trials must be below 2**63, got {self.trials!r}")
-        if int(self.successes) != self.successes or not (0 <= self.successes <= self.trials):
+        if self.successes % 1 != 0 or not (0 <= self.successes <= self.trials):
             raise ValueError(
                 f"{self.label}: successes must lie in [0, trials], got {self.successes!r}"
             )
@@ -154,10 +158,11 @@ class AdditivityCheck:
     consistent: bool
 
     def __post_init__(self) -> None:
-        if self.consistent != (abs(self.z_statistic) <= _CONSISTENT_Z):
+        z = self.z_statistic
+        if not math.isfinite(z) or self.consistent != (abs(z) <= _CONSISTENT_Z):
             raise ValueError(
-                f"consistent must equal |z_statistic| <= 3, got {self.consistent!r} "
-                f"for z_statistic {self.z_statistic!r}"
+                f"consistent must equal |z_statistic| <= 3 for a finite z_statistic, "
+                f"got {self.consistent!r} for z_statistic {z!r}"
             )
 
 
@@ -294,10 +299,12 @@ class ContextSummary:
         if (self.successes is None) != (self.trials is None):
             raise ValueError("successes and trials must be both present or both null")
         if self.trials is not None:
-            if not 1 <= self.trials < _INTEGER_BOUND:
-                raise ValueError(f"trials must lie in [1, 2**63), got {self.trials!r}")
-            if not 0 <= self.successes <= self.trials:
-                raise ValueError(f"successes must lie in [0, trials], got {self.successes!r}")
+            if not (self.trials % 1 == 0 and 1 <= self.trials < _INTEGER_BOUND):
+                raise ValueError(f"trials must lie in [1, 2**63) and be whole, got {self.trials!r}")
+            if not (self.successes % 1 == 0 and 0 <= self.successes <= self.trials):
+                raise ValueError(
+                    f"successes must lie in [0, trials] and be whole, got {self.successes!r}"
+                )
             if self.p_hat != self.successes / self.trials:
                 raise ValueError(
                     f"p_hat must equal successes / trials = {self.successes / self.trials!r}, "
@@ -332,10 +339,10 @@ class Reproducibility:
     generator_name: str
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
-        if self.replicates < 0:
-            raise ValueError(f"replicates must be >= 0, got {self.replicates!r}")
+        if not (self.seed % 1 == 0 and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must lie in [0, 2**64) and be whole, got {self.seed!r}")
+        if not (self.replicates % 1 == 0 and self.replicates >= 0):
+            raise ValueError(f"replicates must be >= 0 and whole, got {self.replicates!r}")
 
 
 @dataclass(frozen=True)
@@ -365,21 +372,25 @@ class ReportDocument:
         if self.regime_stability is not None and not 0.0 <= self.regime_stability <= 1.0:
             raise ValueError(f"regime_stability must lie in [0, 1], got {self.regime_stability!r}")
         interval = self.lambda_interval
-        if interval is not None and not interval[0] <= interval[1]:
-            raise ValueError(f"lambda_interval must satisfy lo <= hi, got {interval!r}")
+        if interval is not None and not -math.inf < interval[0] <= interval[1] < math.inf:
+            raise ValueError(f"lambda_interval must satisfy lo <= hi, finite, got {interval!r}")
+        if not isinstance(self.regime, (Trigonometric, Hyperbolic, Degenerate)):
+            raise ValueError(f"unknown regime type {self.regime!r}")
+        if not (math.isfinite(self.delta) and (self.lam is None or math.isfinite(self.lam))):
+            raise ValueError(f"delta and lam must be finite, got {self.delta!r} and {self.lam!r}")
         TransitionAnalysis(self.delta, self.lam, self.regime)  # ties regime to lam
         if self.wave is not None:
-            if isinstance(self.regime, Trigonometric):
-                kind = ComplexAmplitude.kind
-            elif isinstance(self.regime, Hyperbolic):
-                kind = SplitComplexAmplitude.kind
-            else:
+            if isinstance(self.regime, Degenerate):
                 raise ValueError(f"wave must be null for a degenerate regime, got {self.wave.kind!r}")
+            trigonometric = isinstance(self.regime, Trigonometric)
+            kind = (ComplexAmplitude if trigonometric else SplitComplexAmplitude).kind
             if self.wave.kind != kind:
                 raise ValueError(
                     f"wave kind must be {kind!r} for a {self.regime.kind} regime, "
                     f"got {self.wave.kind!r}"
                 )
+            if not all(map(math.isfinite, self.wave.components)):
+                raise ValueError(f"wave components must be finite, got {self.wave.components!r}")
         ordered = {
             label: self.inputs[label] for label in CONTEXT_LABELS if label in self.inputs
         }
@@ -421,9 +432,7 @@ def _regime_tree(regime: Regime) -> dict:
         return {"kind": regime.kind, "theta": float(regime.theta)}
     if isinstance(regime, Hyperbolic):
         return {"kind": regime.kind, "sign": int(regime.sign), "theta": float(regime.theta)}
-    if isinstance(regime, Degenerate):
-        return {"kind": regime.kind, "reason": regime.reason.value}
-    raise TypeError(f"unknown regime type: {regime!r}")
+    return {"kind": regime.kind, "reason": regime.reason.value}
 
 
 def _pair(value: tuple[float, float] | None) -> list[float] | None:
@@ -437,8 +446,8 @@ def _document_tree(doc: ReportDocument) -> dict:
     for label, summary in doc.inputs.items():
         inputs[label] = {
             "p_hat": float(summary.p_hat),
-            "successes": summary.successes,
-            "trials": summary.trials,
+            "successes": None if summary.trials is None else int(summary.successes),
+            "trials": None if summary.trials is None else int(summary.trials),
             "interval": _pair(summary.interval),
         }
     if doc.additivity is None:

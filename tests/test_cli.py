@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import ctxprob
-from ctxprob import cli
+from ctxprob import amplitudes, cli, data
+from ctxprob.amplitudes import ComplexAmplitude, SplitComplexAmplitude
 from ctxprob.calculus import lambda_range, reconstruct_probability
 from ctxprob.cli import main
 from ctxprob.data import parse_report
@@ -139,6 +140,29 @@ class TestAnalyzeFile:
         assert doc.inputs["S"].successes == 900
         assert doc.reproducibility.replicates == 1000
         assert doc.additivity is None
+
+    @pytest.mark.parametrize(
+        "rows, wave_type",
+        [("S,900,1000\nS1p,100,1000\nS2p,100,1000\n", SplitComplexAmplitude),
+         ("S,500,1000\nS1p,300,1000\nS2p,150,1000\n", ComplexAmplitude)],
+        ids=["hyperbolic", "trigonometric"],
+    )
+    def test_report_wave_is_the_amplitude(self, capsysbinary, tmp_path, monkeypatch, rows, wave_type):
+        made, written = [], []
+        real = amplitudes.wave_from_analysis
+
+        def spy(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(amplitudes, "wave_from_analysis", spy)
+        monkeypatch.setattr(data, "write_report", lambda doc: written.append(doc) or b"")
+        counts = tmp_path / "counts.csv"
+        counts.write_text("context,successes,trials\n" + rows)
+        code, _, _ = run_cli(capsysbinary, "analyze", str(counts), "--replicates", "20")
+        assert code == 0
+        assert type(made[0]) is wave_type
+        assert written[0].wave is made[0]
 
     def test_additivity_block_present_with_subcontexts(self, capsysbinary, tmp_path):
         counts = tmp_path / "counts.csv"

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import stat
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -412,6 +413,8 @@ OUT_OF_RANGE = [
     ("wave-kind-regime", ("wave", "kind"), "complex",
      "wave kind must be 'split-complex' for a hyperbolic regime"),
     ("wave-degenerate", (), _degenerate_tree_with_wave(), "wave must be null for a degenerate regime"),
+    ("wave-kind-list", ("wave", "kind"), ["complex"],
+     "wave kind must be 'complex' or 'split-complex', got ['complex']"),
 ]
 
 
@@ -455,6 +458,23 @@ def test_parse_report_refuses_out_of_range_values(path, value, fragment):
                      id="split-complex-wave-trigonometric"),
         pytest.param(lambda: _minimal_doc(lam=None, regime=Degenerate(DegenerateReason.P1_PRIME_ZERO)),
                      "wave must be null", id="wave-degenerate"),
+        # each of these used to build, then write badly or read back unequal
+        pytest.param(lambda: Reproducibility(1.5, 0, "g"), "seed", id="seed-fraction"),
+        pytest.param(lambda: Reproducibility(0, 2.5, "g"), "replicates", id="replicates-fraction"),
+        pytest.param(lambda: ContextSummary(0.15, 1.5, 10), "successes", id="successes-fraction"),
+        pytest.param(lambda: ContextSummary(0.4, 1, 2.5), "trials", id="trials-fraction"),
+        pytest.param(lambda: _minimal_doc(regime="bogus", wave=None), "unknown regime type",
+                     id="regime-foreign"),
+        pytest.param(lambda: _minimal_doc(delta=math.nan, lam=None, lambda_interval=None, wave=None,
+                                          regime=Degenerate(DegenerateReason.P1_PRIME_ZERO)),
+                     "delta and lam must be finite", id="delta-nan-degenerate"),
+        pytest.param(lambda: _minimal_doc(lam=math.inf, regime=Hyperbolic(1, math.acosh(sys.float_info.max))),
+                     "delta and lam must be finite", id="lam-inf"),
+        pytest.param(lambda: AdditivityCheck(math.nan, False), "finite z_statistic", id="z-nan"),
+        pytest.param(lambda: _minimal_doc(lambda_interval=(0.0, math.inf)), "lambda_interval",
+                     id="lambda_interval-inf"),
+        pytest.param(lambda: _minimal_doc(wave=WaveSummary("split-complex", (math.inf, 1.06))),
+                     "wave components must be finite", id="wave-component-inf"),
     ],
 )
 def test_document_types_refuse_out_of_range_values(build, fragment):
@@ -567,6 +587,80 @@ def _documents():
 @settings(max_examples=200)
 @given(doc=_documents())
 def test_report_round_trip_property(doc):
+    assert parse_report(write_report(doc)) == doc
+
+
+# Wide values: NaN, +-inf, fractions and bools where numbers go, foreign objects for a regime.
+_WIDE_REALS = st.one_of(st.floats(), st.booleans())
+_WIDE_COUNTS = st.one_of(st.floats(), st.booleans(), st.integers(-2, 2**65))
+_FOREIGN = st.one_of(st.none(), st.text(max_size=5), st.integers(), st.builds(object))
+_WIDE_FIELDS = (
+    "delta", "lam", "regime", "lambda_interval", "regime_stability", "z_statistic", "components",
+    "seed", "replicates", "p_hat", "successes", "trials", "interval",
+)
+
+
+@st.composite
+def _wide_document_fields(draw):
+    """Fields of a report, valid but for up to three drawn wide."""
+    wide = draw(st.sets(st.sampled_from(_WIDE_FIELDS), max_size=3))
+
+    def pick(name, valid, wider=_WIDE_REALS):
+        return draw(wider if name in wide else valid)
+
+    lam, regime = draw(_points())
+    trials = draw(st.one_of(st.none(), st.integers(1, 10**9)))
+    successes = None if trials is None else draw(st.integers(0, trials))
+    return dict(
+        delta=pick("delta", st.floats(-2.0, 2.0)),
+        lam=pick("lam", st.just(lam)),
+        regime=pick("regime", st.just(regime), _FOREIGN),
+        wave_regime=regime,
+        lambda_interval=pick("lambda_interval", st.one_of(st.none(), _ordered_pairs(finite_reals)),
+                             st.tuples(_WIDE_REALS, _WIDE_REALS)),
+        regime_stability=pick("regime_stability", st.one_of(st.none(), unit_reals)),
+        z_statistic=pick("z_statistic", st.one_of(st.none(), st.floats(-4.0, 4.0))),
+        components=pick("components", st.one_of(st.none(), st.tuples(finite_reals, finite_reals)),
+                        st.tuples(_WIDE_REALS, _WIDE_REALS)),
+        seed=pick("seed", st.integers(0, 2**64 - 1), _WIDE_COUNTS),
+        replicates=pick("replicates", st.integers(0, 10**6), _WIDE_COUNTS),
+        generator_name=draw(st.text(max_size=30)),
+        p_hat=pick("p_hat", unit_reals if trials is None else st.just(successes / trials)),
+        successes=pick("successes", st.just(successes), _WIDE_COUNTS),
+        trials=pick("trials", st.just(trials), _WIDE_COUNTS),
+        interval=pick("interval", st.one_of(st.none(), _ordered_pairs(unit_reals)),
+                      st.tuples(_WIDE_REALS, _WIDE_REALS)),
+    )
+
+
+def _wide_document(f):
+    return ReportDocument(
+        schema_version=SCHEMA_VERSION,
+        inputs={
+            "S": ContextSummary(f["p_hat"], f["successes"], f["trials"], f["interval"]),
+            "S1p": ContextSummary(0.25),
+            "S2p": ContextSummary(0.5, 1, 2),
+        },
+        delta=f["delta"],
+        lam=f["lam"],
+        regime=f["regime"],
+        lambda_interval=f["lambda_interval"],
+        regime_stability=f["regime_stability"],
+        additivity=None if f["z_statistic"] is None else AdditivityCheck(
+            f["z_statistic"], abs(f["z_statistic"]) <= 3.0
+        ),
+        wave=_wave(f["wave_regime"], f["components"]),
+        reproducibility=Reproducibility(f["seed"], f["replicates"], f["generator_name"]),
+    )
+
+
+@settings(max_examples=300)
+@given(fields=_wide_document_fields())
+def test_documents_refuse_or_round_trip(fields):
+    try:
+        doc = _wide_document(fields)
+    except (ValueError, TypeError):
+        return
     assert parse_report(write_report(doc)) == doc
 
 

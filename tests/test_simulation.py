@@ -63,6 +63,12 @@ class TestCountTable:
         table = CountTable((row, CountRow("S1p", 0, 1), CountRow("S2p", 0, 1)))
         assert parse_counts(write_counts(table)).table == table
 
+    def test_non_finite_counts_refused_as_value_errors(self):
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            CountRow("S", 0, math.inf)
+        with pytest.raises(ValueError, match="successes must lie in"):
+            CountRow("S", math.nan, 10)
+
 
 class TestScenarios:
     def test_two_slit_truth_matches_complex_oracle(self):

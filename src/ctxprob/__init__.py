@@ -25,8 +25,7 @@ _EXPORTS = {
     ),
     "simulation": (
         "GENERATOR_NAME", "DirectScenario", "EstimationReport", "HyperbolicUrnScenario",
-        "Scenario", "TwoSlitScenario", "estimate", "sample_counts", "scenario_truth",
-        "theta_recovery_error",
+        "TwoSlitScenario", "estimate", "sample_counts", "scenario_truth", "theta_recovery_error",
     ),
     "data": (
         "CONTEXT_LABELS", "COUNTS_HEADER", "SCHEMA_VERSION", "AdditivityCheck",

@@ -87,7 +87,6 @@ def _check_seed(seed) -> int:
 
 
 DirectScenario = ContextTriple
-Scenario = ContextTriple
 
 # Phase slack of the two-slit family: decimal-rounded endpoints such as 3.1415927 pass.
 _PHASE_SLACK = 1e-6
@@ -161,12 +160,12 @@ class EstimationReport:
     confidence: float
 
 
-def scenario_truth(scenario: Scenario) -> ContextTriple:
+def scenario_truth(scenario: ContextTriple) -> ContextTriple:
     """Exact context probabilities implied by a scenario: every scenario is its own triple."""
     return scenario
 
 
-def sample_counts(scenario: Scenario, trials_per_context: int, seed: int = 0) -> CountTable:
+def sample_counts(scenario: ContextTriple, trials_per_context: int, seed: int = 0) -> CountTable:
     """Draw finite counts for every context whose probability a scenario's triple carries.
 
     Each context's successes are one Binomial(trials_per_context, p) draw on its

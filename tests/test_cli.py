@@ -147,7 +147,9 @@ class TestAnalyzeFile:
          ("S,500,1000\nS1p,300,1000\nS2p,150,1000\n", ComplexAmplitude)],
         ids=["hyperbolic", "trigonometric"],
     )
-    def test_report_wave_is_the_amplitude(self, capsysbinary, tmp_path, monkeypatch, rows, wave_type):
+    def test_report_wave_is_the_amplitude(
+        self, capsysbinary, tmp_path, monkeypatch, rows, wave_type
+    ):
         made, written = [], []
         real = amplitudes.wave_from_analysis
 

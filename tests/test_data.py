@@ -468,7 +468,8 @@ def test_parse_report_refuses_out_of_range_values(path, value, fragment):
         pytest.param(lambda: _minimal_doc(delta=math.nan, lam=None, lambda_interval=None, wave=None,
                                           regime=Degenerate(DegenerateReason.P1_PRIME_ZERO)),
                      "delta and lam must be finite", id="delta-nan-degenerate"),
-        pytest.param(lambda: _minimal_doc(lam=math.inf, regime=Hyperbolic(1, math.acosh(sys.float_info.max))),
+        pytest.param(lambda: _minimal_doc(lam=math.inf,
+                                          regime=Hyperbolic(1, math.acosh(sys.float_info.max))),
                      "delta and lam must be finite", id="lam-inf"),
         pytest.param(lambda: AdditivityCheck(math.nan, False), "finite z_statistic", id="z-nan"),
         pytest.param(lambda: _minimal_doc(lambda_interval=(0.0, math.inf)), "lambda_interval",
@@ -592,6 +593,7 @@ def test_report_round_trip_property(doc):
 
 # Wide values: NaN, +-inf, fractions and bools where numbers go, foreign objects for a regime.
 _WIDE_REALS = st.one_of(st.floats(), st.booleans())
+_WIDE_PAIRS = st.tuples(_WIDE_REALS, _WIDE_REALS)
 _WIDE_COUNTS = st.one_of(st.floats(), st.booleans(), st.integers(-2, 2**65))
 _FOREIGN = st.one_of(st.none(), st.text(max_size=5), st.integers(), st.builds(object))
 _WIDE_FIELDS = (
@@ -617,19 +619,18 @@ def _wide_document_fields(draw):
         regime=pick("regime", st.just(regime), _FOREIGN),
         wave_regime=regime,
         lambda_interval=pick("lambda_interval", st.one_of(st.none(), _ordered_pairs(finite_reals)),
-                             st.tuples(_WIDE_REALS, _WIDE_REALS)),
+                             _WIDE_PAIRS),
         regime_stability=pick("regime_stability", st.one_of(st.none(), unit_reals)),
         z_statistic=pick("z_statistic", st.one_of(st.none(), st.floats(-4.0, 4.0))),
         components=pick("components", st.one_of(st.none(), st.tuples(finite_reals, finite_reals)),
-                        st.tuples(_WIDE_REALS, _WIDE_REALS)),
+                        _WIDE_PAIRS),
         seed=pick("seed", st.integers(0, 2**64 - 1), _WIDE_COUNTS),
         replicates=pick("replicates", st.integers(0, 10**6), _WIDE_COUNTS),
         generator_name=draw(st.text(max_size=30)),
         p_hat=pick("p_hat", unit_reals if trials is None else st.just(successes / trials)),
         successes=pick("successes", st.just(successes), _WIDE_COUNTS),
         trials=pick("trials", st.just(trials), _WIDE_COUNTS),
-        interval=pick("interval", st.one_of(st.none(), _ordered_pairs(unit_reals)),
-                      st.tuples(_WIDE_REALS, _WIDE_REALS)),
+        interval=pick("interval", st.one_of(st.none(), _ordered_pairs(unit_reals)), _WIDE_PAIRS),
     )
 
 

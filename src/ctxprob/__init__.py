@@ -38,7 +38,7 @@ _EXPORTS = {
         "AdditivityViolation", "CtxprobError", "DegenerateDenominator",
         "DegenerateRegime", "DegenerateVariance", "InadmissibleLambda",
         "InvalidPerturbedProbability", "InvalidProbability", "InvalidScenario",
-        "NonFinite", "ParseError", "RegimeMismatch", "ZeroTrials",
+        "NonFinite", "ParseError", "RegimeMismatch",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

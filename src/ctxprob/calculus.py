@@ -158,6 +158,10 @@ class Degenerate:
     kind: ClassVar[str] = "degenerate"
     reason: DegenerateReason
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.reason, DegenerateReason):
+            raise ValueError(f"degenerate reason must be a DegenerateReason, got {self.reason!r}")
+
 
 Regime = Union[Trigonometric, Hyperbolic, Degenerate]
 

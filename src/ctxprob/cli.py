@@ -121,12 +121,9 @@ def _build_parser() -> _Parser:
 
 
 def _check_seed_flag(seed: int) -> int:
-    from .simulation import _check_seed
-
-    try:
-        return _check_seed(seed)
-    except ValueError:
-        raise _UsageError(f"--seed must be a 64-bit unsigned integer, got {seed}") from None
+    if not 0 <= seed < 2**64:
+        raise _UsageError(f"--seed must be a 64-bit unsigned integer, got {seed}")
+    return seed
 
 
 def _flag_triple(args) -> ContextTriple:

@@ -36,7 +36,7 @@ from .calculus import (
     ContextTriple, Degenerate, DegenerateReason, Hyperbolic, Regime, TransitionAnalysis,
     Trigonometric,
 )
-from .errors import DegenerateVariance, ParseError, ZeroTrials
+from .errors import DegenerateVariance, ParseError
 
 CONTEXT_LABELS = ("S", "S1", "S2", "S1p", "S2p")
 _REQUIRED_LABELS = ("S", "S1p", "S2p")
@@ -56,9 +56,28 @@ _MAX_DIGITS = 19
 _INTEGER_BOUND = 2**63
 
 
+def _whole(value, name: str, lo: int, hi: float) -> int:
+    """``value`` as an int if it is a whole number in [lo, hi); NaN, infinities and text are not."""
+    if isinstance(value, (str, bytes)) or not (value % 1 == 0 and lo <= value < hi):
+        bound = {2**63: "2**63", 2**64: "2**64"}.get(hi, hi)
+        raise ValueError(f"{name} must lie in [{lo}, {bound}) and be whole, got {value!r}")
+    return int(value)
+
+
+def _by_label(items: dict, noun: str) -> dict:
+    """``items`` keyed by context label, in CONTEXT_LABELS order; S, S1p and S2p are required."""
+    unknown = items.keys() - CONTEXT_LABELS
+    if unknown:
+        raise ValueError(f"unknown context labels {sorted(unknown)!r}")
+    missing = [label for label in _REQUIRED_LABELS if label not in items]
+    if missing:
+        raise ValueError(f"missing required context {noun} {missing!r}")
+    return {label: items[label] for label in CONTEXT_LABELS if label in items}
+
+
 @dataclass(frozen=True)
 class CountRow:
-    """Outcome counts of one context's run: successes out of trials below 2**63."""
+    """Outcome counts of one context's run: whole successes in [0, trials], trials in [1, 2**63)."""
 
     label: str
     successes: int
@@ -67,16 +86,10 @@ class CountRow:
     def __post_init__(self) -> None:
         if self.label not in CONTEXT_LABELS:
             raise ValueError(f"unknown context label {self.label!r}")
-        if self.trials % 1 != 0 or self.trials < 1:
-            raise ZeroTrials(f"{self.label}: trials must be a positive integer, got {self.trials!r}")
-        if self.trials >= _INTEGER_BOUND:
-            raise ValueError(f"{self.label}: trials must be below 2**63, got {self.trials!r}")
-        if self.successes % 1 != 0 or not (0 <= self.successes <= self.trials):
-            raise ValueError(
-                f"{self.label}: successes must lie in [0, trials], got {self.successes!r}"
-            )
-        object.__setattr__(self, "successes", int(self.successes))
-        object.__setattr__(self, "trials", int(self.trials))
+        trials = _whole(self.trials, f"{self.label}: trials", 1, _INTEGER_BOUND)
+        successes = _whole(self.successes, f"{self.label}: successes", 0, trials + 1)
+        object.__setattr__(self, "successes", successes)
+        object.__setattr__(self, "trials", trials)
 
     @property
     def proportion(self) -> float:
@@ -94,15 +107,10 @@ class CountTable:
 
     def __post_init__(self) -> None:
         rows = tuple(self.rows)
-        labels = [r.label for r in rows]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate context labels in {labels!r}")
-        missing = [label for label in _REQUIRED_LABELS if label not in labels]
-        if missing:
-            raise ValueError(f"missing required context rows: {missing!r}")
-        object.__setattr__(
-            self, "rows", tuple(sorted(rows, key=lambda r: CONTEXT_LABELS.index(r.label)))
-        )
+        by_label = {r.label: r for r in rows}
+        if len(by_label) != len(rows):
+            raise ValueError(f"duplicate context labels in {[r.label for r in rows]!r}")
+        object.__setattr__(self, "rows", tuple(_by_label(by_label, "rows").values()))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -299,12 +307,8 @@ class ContextSummary:
         if (self.successes is None) != (self.trials is None):
             raise ValueError("successes and trials must be both present or both null")
         if self.trials is not None:
-            if not (self.trials % 1 == 0 and 1 <= self.trials < _INTEGER_BOUND):
-                raise ValueError(f"trials must lie in [1, 2**63) and be whole, got {self.trials!r}")
-            if not (self.successes % 1 == 0 and 0 <= self.successes <= self.trials):
-                raise ValueError(
-                    f"successes must lie in [0, trials] and be whole, got {self.successes!r}"
-                )
+            trials = _whole(self.trials, "trials", 1, _INTEGER_BOUND)
+            _whole(self.successes, "successes", 0, trials + 1)
             if self.p_hat != self.successes / self.trials:
                 raise ValueError(
                     f"p_hat must equal successes / trials = {self.successes / self.trials!r}, "
@@ -339,10 +343,8 @@ class Reproducibility:
     generator_name: str
 
     def __post_init__(self) -> None:
-        if not (self.seed % 1 == 0 and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must lie in [0, 2**64) and be whole, got {self.seed!r}")
-        if not (self.replicates % 1 == 0 and self.replicates >= 0):
-            raise ValueError(f"replicates must be >= 0 and whole, got {self.replicates!r}")
+        _whole(self.seed, "seed", 0, 2**64)
+        _whole(self.replicates, "replicates", 0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -363,12 +365,7 @@ class ReportDocument:
     def __post_init__(self) -> None:
         if self.schema_version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {self.schema_version!r}")
-        unknown = self.inputs.keys() - CONTEXT_LABELS
-        if unknown:
-            raise ValueError(f"unknown context labels {sorted(unknown)!r}")
-        missing = [label for label in _REQUIRED_LABELS if label not in self.inputs]
-        if missing:
-            raise ValueError(f"missing required context summaries {missing!r}")
+        object.__setattr__(self, "inputs", _by_label(self.inputs, "summaries"))
         if self.regime_stability is not None and not 0.0 <= self.regime_stability <= 1.0:
             raise ValueError(f"regime_stability must lie in [0, 1], got {self.regime_stability!r}")
         interval = self.lambda_interval
@@ -391,10 +388,6 @@ class ReportDocument:
                 )
             if not all(map(math.isfinite, self.wave.components)):
                 raise ValueError(f"wave components must be finite, got {self.wave.components!r}")
-        ordered = {
-            label: self.inputs[label] for label in CONTEXT_LABELS if label in self.inputs
-        }
-        object.__setattr__(self, "inputs", ordered)
 
 
 # What json.dumps returns for a string under its default settings.

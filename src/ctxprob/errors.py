@@ -37,10 +37,6 @@ class RegimeMismatch(CtxprobError):
     """The estimated regime differs from the expected one."""
 
 
-class ZeroTrials(CtxprobError, ValueError):
-    """A count row carries no trials, so no proportion can be formed."""
-
-
 class DegenerateVariance(CtxprobError):
     """Every variance term vanishes while the tested difference does not."""
 

@@ -42,7 +42,7 @@ from .calculus import (
     Trigonometric,
     analyze,
 )
-from .data import _INTEGER_BOUND, CONTEXT_LABELS, CountRow, CountTable, context_probabilities
+from .data import _INTEGER_BOUND, CONTEXT_LABELS, CountRow, CountTable, _whole, context_probabilities
 from .errors import InvalidScenario, RegimeMismatch
 
 if TYPE_CHECKING:
@@ -77,13 +77,6 @@ def _seed_streams(seed: int) -> Callable[[int], np.random.Generator]:
         return rng
 
     return stream
-
-
-def _check_seed(seed) -> int:
-    s = int(seed)
-    if s != seed or not (0 <= s < 2**64):
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    return s
 
 
 DirectScenario = ContextTriple
@@ -169,14 +162,10 @@ def sample_counts(scenario: ContextTriple, trials_per_context: int, seed: int = 
     """Draw finite counts for every context whose probability a scenario's triple carries.
 
     Each context's successes are one Binomial(trials_per_context, p) draw on its
-    own stream; ``trials_per_context`` lies in [1, 2**63) like a count file.
+    own stream; ``trials_per_context`` is whole and lies in [1, 2**63) like a count file.
     """
-    n = int(trials_per_context)
-    if n != trials_per_context or not (1 <= n < _INTEGER_BOUND):
-        raise ValueError(
-            f"trials_per_context must be an integer in [1, 2**63), got {trials_per_context!r}"
-        )
-    stream = _seed_streams(_check_seed(seed))
+    n = _whole(trials_per_context, "trials_per_context", 1, _INTEGER_BOUND)
+    stream = _seed_streams(_whole(seed, "seed", 0, 2**64))
     rows = [
         CountRow(label, int(stream(_STREAM_ID[label]).binomial(n, p)), n)
         for label, p in context_probabilities(scenario).items()
@@ -232,81 +221,66 @@ def estimate(
     default ``linear``) of the sorted replicates.  A zero post-transition
     proportion is flagged as a degenerate point regime, never raised;
     replicates with a degenerate denominator carry no coefficient and are
-    classified degenerate for stability purposes.  ``replicates`` lies in
-    [0, :data:`MAX_REPLICATES`].
+    classified degenerate for stability purposes.  ``replicates`` is a whole
+    number in [0, :data:`MAX_REPLICATES`] and ``seed`` one in [0, 2**64).
     """
-    r = int(replicates)
-    if r != replicates or not (0 <= r <= MAX_REPLICATES):
-        raise ValueError(
-            f"replicates must be an integer in [0, {MAX_REPLICATES}], got {replicates!r}"
-        )
+    r = _whole(replicates, "replicates", 0, MAX_REPLICATES + 1)
     c = float(confidence)
     if not (0.0 < c < 1.0):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
-    s = _check_seed(seed)
+    s = _whole(seed, "seed", 0, 2**64)
 
     p_hat = {row.label: row.proportion for row in counts.rows}
     point = analyze(ContextTriple(p_hat["S"], p_hat["S1p"], p_hat["S2p"]))
-    if r == 0:
-        return EstimationReport(
-            point=point,
-            lambda_interval=None,
-            context_intervals={row.label: None for row in counts.rows},
-            regime_stability=None,
-            theta_std=None,
-            seed=s,
-            replicates=0,
-            confidence=c,
-        )
+    labels = counts.labels
+    context_intervals = dict.fromkeys(labels)
+    lambda_interval = regime_stability = theta_std = None
+    if r:
+        import numpy as np
 
-    import numpy as np
+        q_lo = (1.0 - c) / 2.0
+        levels = (q_lo, 1.0 - q_lo)
+        replicate_matrix = np.empty((len(labels), r))
+        stream = _seed_streams(s)
+        for row, proportions in zip(counts.rows, replicate_matrix):
+            rng = stream(_BOOTSTRAP_STREAM_BASE + _STREAM_ID[row.label])
+            np.divide(rng.binomial(row.trials, p_hat[row.label], size=r), row.trials, out=proportions)
+        boot = dict(zip(labels, replicate_matrix))
+        delta_b = boot["S"] - boot["S1p"] - boot["S2p"]
+        denom = 2.0 * np.sqrt(boot["S1p"] * boot["S2p"])
+        ok = denom > 0.0
+        lam_b = np.divide(delta_b, denom, out=np.full(r, np.nan), where=ok)
 
-    q_lo = (1.0 - c) / 2.0
-    levels = (q_lo, 1.0 - q_lo)
-    labels = [row.label for row in counts.rows]
-    replicate_matrix = np.empty((len(labels), r))
-    stream = _seed_streams(s)
-    for row, proportions in zip(counts.rows, replicate_matrix):
-        rng = stream(_BOOTSTRAP_STREAM_BASE + _STREAM_ID[row.label])
-        np.divide(rng.binomial(row.trials, p_hat[row.label], size=r), row.trials, out=proportions)
-    boot = dict(zip(labels, replicate_matrix))
-    delta_b = boot["S"] - boot["S1p"] - boot["S2p"]
-    denom = 2.0 * np.sqrt(boot["S1p"] * boot["S2p"])
-    ok = denom > 0.0
-    lam_b = np.divide(delta_b, denom, out=np.full(r, np.nan), where=ok)
+        replicate_matrix.sort(axis=1)  # in place: the replicates are not read in draw order again
+        lows, highs = _linear_quantiles(replicate_matrix, levels)
+        context_intervals = {
+            label: (lo, hi) for label, lo, hi in zip(labels, lows.tolist(), highs.tolist())
+        }
 
-    replicate_matrix.sort(axis=1)  # in place: the replicates are not read in draw order again
-    lows, highs = _linear_quantiles(replicate_matrix, levels)
-    context_intervals = {
-        label: (lo, hi) for label, lo, hi in zip(labels, lows.tolist(), highs.tolist())
-    }
+        regime = point.regime
+        if isinstance(regime, Trigonometric):
+            same_regime = np.abs(lam_b) <= 1.0
+        elif isinstance(regime, Hyperbolic):
+            same_regime = regime.sign * lam_b > 1.0
+        else:
+            same_regime = np.isnan(lam_b)
+        regime_stability = float(np.count_nonzero(same_regime)) / r
 
-    regime = point.regime
-    if isinstance(regime, Trigonometric):
-        same_regime = np.abs(lam_b) <= 1.0
-    elif isinstance(regime, Hyperbolic):
-        same_regime = regime.sign * lam_b > 1.0
-    else:
-        same_regime = np.isnan(lam_b)
-    regime_stability = float(np.count_nonzero(same_regime)) / r
+        if point.lam is not None and bool(ok.any()):
+            defined = lam_b[ok]
+            defined.sort()
+            lo, hi = _linear_quantiles(defined, levels)
+            lambda_interval = (float(lo), float(hi))
 
-    lambda_interval = None
-    if point.lam is not None and bool(ok.any()):
-        defined = lam_b[ok]
-        defined.sort()
-        lo, hi = _linear_quantiles(defined, levels)
-        lambda_interval = (float(lo), float(hi))
-
-    theta_std = None
-    if point.lam is not None:
-        match = lam_b[same_regime]
-        if match.size >= 2:
-            # the same-regime mask keeps |match| <= 1 (trigonometric) or > 1 (hyperbolic)
-            if isinstance(regime, Trigonometric):
-                thetas = np.arccos(match)
-            else:
-                thetas = np.arccosh(np.abs(match))
-            theta_std = _sample_std(thetas)
+        if point.lam is not None:
+            match = lam_b[same_regime]
+            if match.size >= 2:
+                # the same-regime mask keeps |match| <= 1 (trigonometric) or > 1 (hyperbolic)
+                if isinstance(regime, Trigonometric):
+                    thetas = np.arccos(match)
+                else:
+                    thetas = np.arccosh(np.abs(match))
+                theta_std = _sample_std(thetas)
 
     return EstimationReport(
         point=point,

@@ -391,10 +391,10 @@ def _degenerate_tree_with_wave():
 # Values analyze can never write: each type refuses them, so parsing does too.
 OUT_OF_RANGE = [
     ("seed", ("reproducibility", "seed"), 10**30, "seed must lie in [0, 2**64)"),
-    ("replicates", ("reproducibility", "replicates"), -5, "replicates must be >= 0"),
+    ("replicates", ("reproducibility", "replicates"), -5, "replicates must lie in [0, inf)"),
     ("trials-zero", ("inputs", "S", "trials"), 0, "trials must lie in [1, 2**63)"),
     ("trials-bound", ("inputs", "S", "trials"), 2**63, "trials must lie in [1, 2**63)"),
-    ("successes", ("inputs", "S", "successes"), 10**30, "successes must lie in [0, trials]"),
+    ("successes", ("inputs", "S", "successes"), 10**30, "successes must lie in [0, 11)"),
     ("p_hat", ("inputs", "S", "p_hat"), 7.0, "p_hat must lie in [0, 1]"),
     ("regime_stability", ("regime_stability",), -3.0, "regime_stability must lie in [0, 1]"),
     ("successes-alone", ("inputs", "S", "trials"), None, "successes and trials must be both"),
@@ -461,10 +461,13 @@ def test_parse_report_refuses_out_of_range_values(path, value, fragment):
         # each of these used to build, then write badly or read back unequal
         pytest.param(lambda: Reproducibility(1.5, 0, "g"), "seed", id="seed-fraction"),
         pytest.param(lambda: Reproducibility(0, 2.5, "g"), "replicates", id="replicates-fraction"),
+        pytest.param(lambda: Reproducibility(math.nan, 0, "g"), "seed", id="seed-nan"),
         pytest.param(lambda: ContextSummary(0.15, 1.5, 10), "successes", id="successes-fraction"),
         pytest.param(lambda: ContextSummary(0.4, 1, 2.5), "trials", id="trials-fraction"),
         pytest.param(lambda: _minimal_doc(regime="bogus", wave=None), "unknown regime type",
                      id="regime-foreign"),
+        pytest.param(lambda: _minimal_doc(lam=None, wave=None, regime=Degenerate("bogus")),
+                     "degenerate reason must be a DegenerateReason", id="degenerate-reason-foreign"),
         pytest.param(lambda: _minimal_doc(delta=math.nan, lam=None, lambda_interval=None, wave=None,
                                           regime=Degenerate(DegenerateReason.P1_PRIME_ZERO)),
                      "delta and lam must be finite", id="delta-nan-degenerate"),

@@ -5,7 +5,8 @@ model) must stay importable without numpy and must not depend on the
 sampling layer (``simulation``) or the command line (``cli``).  The check
 reads each module's source with :mod:`ast`, so it also catches imports
 placed inside functions.  The same ``ast`` walk checks that the 1e-12
-round-off slack is written once, as ``calculus.ROUND_OFF``.
+round-off slack is written once, as ``calculus.ROUND_OFF``, and that the
+whole-number test ``x % 1`` is written once, in ``data._whole``.
 
 At run time, only sampling and the bootstrap load numpy: ``range``,
 ``sweep`` and direct-mode ``analyze`` run in a fresh interpreter without it.
@@ -14,6 +15,7 @@ only the calculus layer.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -22,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import ctxprob
+from ctxprob import data
 
 PACKAGE_DIR = Path(ctxprob.__file__).parent
 LOWER_LAYERS = ("calculus", "amplitudes", "errors", "data")
@@ -78,6 +81,56 @@ def test_one_round_off_literal():
         if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-12
     ]
     assert [name for name, _ in places] == ["calculus.py"], places
+
+
+def _int_of(node) -> str | None:
+    """The dumped argument of an ``int(arg)`` call, else None."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int":
+        return ast.dump(node.args[0]) if len(node.args) == 1 else None
+    return None
+
+
+def _int_round_trips(source: str) -> list[int]:
+    """Lines comparing ``int(x)``, or a name bound to it, with ``x`` itself."""
+    tree = ast.parse(source)
+    bound = {  # (name, argument) of every "name = int(argument)"
+        (node.targets[0].id, _int_of(node.value))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
+            a, b = node.left, node.comparators[0]
+            for x, y in ((a, b), (b, a)):
+                arg = ast.dump(y)
+                if _int_of(x) == arg or (isinstance(x, ast.Name) and (x.id, arg) in bound):
+                    lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source", ["if int(x) != x: pass", "n = int(x)\nif n != x: pass"])
+def test_detector_flags_each_int_round_trip(source):
+    assert _int_round_trips(source) == [source.count("\n") + 1]
+
+
+def test_one_whole_number_check():
+    """``x % 1`` is written once, in data._whole, and ``int(x) != x`` nowhere."""
+    places, round_trips = [], []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        places += [
+            (path.name, node.lineno)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+            and isinstance(node.right, ast.Constant) and node.right.value == 1
+        ]
+        round_trips += [(path.name, line) for line in _int_round_trips(source)]
+    lines, start = inspect.getsourcelines(data._whole)
+    assert [(name, start <= line < start + len(lines)) for name, line in places] == [
+        ("data.py", True)
+    ], places
+    assert round_trips == []
 
 
 # The closed-form subcommands never draw, so they must not pay for importing numpy.

@@ -64,7 +64,7 @@ class TestCountTable:
         assert parse_counts(write_counts(table)).table == table
 
     def test_non_finite_counts_refused_as_value_errors(self):
-        with pytest.raises(ValueError, match="trials must be a positive integer"):
+        with pytest.raises(ValueError, match=r"trials must lie in \[1, 2\*\*63\)"):
             CountRow("S", 0, math.inf)
         with pytest.raises(ValueError, match="successes must lie in"):
             CountRow("S", math.nan, 10)
@@ -248,10 +248,26 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate(table, seed=-1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda table: sample_counts(TWO_SLIT, math.inf), id="trials-inf"),
+            pytest.param(lambda table: estimate(table, seed=math.inf), id="seed-inf"),
+            pytest.param(lambda table: estimate(table, replicates=math.inf), id="replicates-inf"),
+            # "5" % 1 would be string formatting, not arithmetic
+            pytest.param(lambda table: sample_counts(TWO_SLIT, "5"), id="trials-text"),
+        ],
+    )
+    def test_non_whole_arguments_refused_as_value_errors(self, call):
+        # int(math.inf) raises OverflowError, so these are refused before any conversion
+        table = _table(("S", 9, 10), ("S1p", 1, 10), ("S2p", 1, 10))
+        with pytest.raises(ValueError, match="must lie in"):
+            call(table)
+
     def test_replicates_capped(self, monkeypatch):
         table = _table(("S", 9, 10), ("S1p", 1, 10), ("S2p", 1, 10))
         # rejected by the argument check, before any replicate array exists
-        with pytest.raises(ValueError, match="replicates must be an integer in"):
+        with pytest.raises(ValueError, match=r"replicates must lie in \[0, 1000001\)"):
             estimate(table, replicates=simulation.MAX_REPLICATES + 1)
         with pytest.raises(ValueError):
             estimate(table, replicates=10**12)

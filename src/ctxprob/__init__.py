@@ -25,7 +25,8 @@ _EXPORTS = {
     ),
     "simulation": (
         "GENERATOR_NAME", "DirectScenario", "EstimationReport", "HyperbolicUrnScenario",
-        "TwoSlitScenario", "estimate", "sample_counts", "scenario_truth", "theta_recovery_error",
+        "TwoSlitScenario", "estimate", "report_from_counts", "report_from_triple",
+        "sample_counts", "scenario_truth", "theta_recovery_error",
     ),
     "data": (
         "CONTEXT_LABELS", "COUNTS_HEADER", "SCHEMA_VERSION", "AdditivityCheck",

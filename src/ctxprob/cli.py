@@ -157,12 +157,8 @@ def _write_output(path: str, chunks: Iterable[bytes]) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    from .amplitudes import wave_from_analysis
-    from .data import (
-        SCHEMA_VERSION, ContextSummary, ReportDocument, Reproducibility, additivity_check,
-        context_probabilities, parse_counts, write_report,
-    )
-    from .simulation import GENERATOR_NAME, MAX_REPLICATES, estimate
+    from .data import parse_counts, write_report
+    from .simulation import MAX_REPLICATES, report_from_counts, report_from_triple
 
     direct_flags = [args.p_s, args.p1p, args.p2p, args.p1, args.p2]
     file_mode = args.counts is not None
@@ -182,41 +178,12 @@ def _cmd_analyze(args) -> int:
         raise _UsageError(f"--confidence must lie in (0, 1), got {confidence}")
     seed = _check_seed_flag(args.seed)
 
-    # The modes differ in their inputs, point analysis and bootstrap fields.
     if file_mode:
         source = "<stdin>" if args.counts == "-" else args.counts
         counts = parse_counts(_read_input(args.counts), source=source).table
-        report = estimate(counts, replicates=replicates, confidence=confidence, seed=seed)
-        inputs = {
-            row.label: ContextSummary(
-                row.proportion, row.successes, row.trials, report.context_intervals[row.label]
-            )
-            for row in counts.rows
-        }
-        point = report.point
-        lambda_interval, regime_stability = report.lambda_interval, report.regime_stability
-        additivity = additivity_check(counts)
+        doc = report_from_counts(counts, replicates, confidence, seed)
     else:
-        triple = _flag_triple(args)
-        inputs = {label: ContextSummary(p) for label, p in context_probabilities(triple).items()}
-        point = analyze(triple)
-        lambda_interval = regime_stability = additivity = None
-        replicates = 0
-    wave = None
-    if point.lam is not None:  # None exactly for a degenerate regime, which has no wave
-        wave = wave_from_analysis(inputs["S1p"].p_hat, inputs["S2p"].p_hat, point)
-    doc = ReportDocument(
-        schema_version=SCHEMA_VERSION,
-        inputs=inputs,
-        delta=point.delta,
-        lam=point.lam,
-        regime=point.regime,
-        lambda_interval=lambda_interval,
-        regime_stability=regime_stability,
-        additivity=additivity,
-        wave=wave,
-        reproducibility=Reproducibility(seed, replicates, GENERATOR_NAME),
-    )
+        doc = report_from_triple(_flag_triple(args), seed)
     _write_output(args.output, (write_report(doc),))
     return 0
 

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import amplitudes
 from .calculus import (
     ROUND_OFF,
     ContextTriple,
@@ -43,6 +44,7 @@ from .calculus import (
     analyze,
 )
 from .data import _INTEGER_BOUND, CONTEXT_LABELS, CountRow, CountTable, _whole, context_probabilities
+from .data import SCHEMA_VERSION, ContextSummary, ReportDocument, Reproducibility, additivity_check
 from .errors import InvalidScenario, RegimeMismatch
 
 if TYPE_CHECKING:
@@ -292,6 +294,36 @@ def estimate(
         replicates=r,
         confidence=c,
     )
+
+
+def report_from_counts(
+    counts: CountTable, replicates: int = 1000, confidence: float = 0.95, seed: int = 0
+) -> ReportDocument:
+    """The report ``analyze FILE`` writes: :func:`estimate` plus the additivity check and wave."""
+    report = estimate(counts, replicates, confidence, seed)
+    intervals = report.context_intervals
+    inputs = {
+        row.label: ContextSummary(row.proportion, row.successes, row.trials, intervals[row.label])
+        for row in counts.rows
+    }
+    return _report(inputs, report.point, report.lambda_interval, report.regime_stability,
+                   additivity_check(counts), report.seed, report.replicates)
+
+
+def report_from_triple(triple: ContextTriple, seed: int = 0) -> ReportDocument:
+    """The report direct ``analyze`` writes: the triple's analysis and wave, with no draws."""
+    inputs = {label: ContextSummary(p) for label, p in context_probabilities(triple).items()}
+    return _report(inputs, analyze(triple), None, None, None, seed, 0)
+
+
+def _report(inputs, point, lambda_interval, regime_stability, additivity, seed, replicates):
+    wave = None
+    if point.lam is not None:  # None exactly for a degenerate regime, which has no wave
+        wave = amplitudes.wave_from_analysis(inputs["S1p"].p_hat, inputs["S2p"].p_hat, point)
+    # ReportDocument's fields in their declared order
+    return ReportDocument(SCHEMA_VERSION, inputs, point.delta, point.lam, point.regime,
+                          lambda_interval, regime_stability, additivity, wave,
+                          Reproducibility(seed, replicates, GENERATOR_NAME))
 
 
 def theta_recovery_error(

@@ -10,14 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxprob.amplitudes import wave_from_analysis
 from ctxprob.calculus import (
     ContextTriple,
     Degenerate,
     DegenerateReason,
     Hyperbolic,
     Trigonometric,
-    analyze,
     classify,
 )
 from ctxprob.data import (
@@ -41,7 +39,7 @@ from ctxprob.data import (
     write_report,
 )
 from ctxprob.errors import DegenerateVariance, ParseError
-from ctxprob.simulation import GENERATOR_NAME, estimate
+from ctxprob.simulation import GENERATOR_NAME, report_from_counts, report_from_triple
 
 GOOD = "context,successes,trials\nS,9,10\nS1p,1,10\nS2p,1,10\n"
 
@@ -721,46 +719,18 @@ def _report_document(rng, labels):
         p_s, p1_prime, p2_prime = (_edge_probability(rng) for _ in range(3))
         split = () if len(labels) == 3 else (p_s * rng.random(),)
         triple = ContextTriple(p_s, p1_prime, p2_prime, *split, *(p_s - p for p in split))
-        inputs = {label: ContextSummary(p) for label, p in context_probabilities(triple).items()}
-        point, reference = analyze(triple), (triple.p1_prime, triple.p2_prime)
-        lambda_interval = regime_stability = additivity = None
-        replicates = 0
-    else:  # analyze --counts FILE: estimate with its bootstrap
-        rows = []
-        for label in labels:
-            trials = int(2.0 ** rng.uniform(0.0, 62.0))
-            trials = rng.choice((1, 2**62)) if rng.random() < 0.1 else trials
-            edge = rng.random()
-            successes = 0 if edge < 0.1 else trials if edge < 0.2 else rng.randint(0, trials)
-            rows.append(CountRow(label, successes, trials))
-        counts = CountTable(tuple(rows))
-        replicates = rng.choice(_REPORT_REPLICATES)
-        report = estimate(counts, replicates, rng.choice((0.5, 0.9, 0.95, 0.99)), seed)
-        inputs = {
-            row.label: ContextSummary(
-                row.proportion, row.successes, row.trials, report.context_intervals[row.label]
-            )
-            for row in counts.rows
-        }
-        point, reference = report.point, (counts.proportion("S1p"), counts.proportion("S2p"))
-        lambda_interval, regime_stability = report.lambda_interval, report.regime_stability
-        additivity = additivity_check(counts)
-    wave = None
-    if not isinstance(point.regime, Degenerate):
-        amplitude = wave_from_analysis(*reference, point)
-        wave = WaveSummary(amplitude.kind, amplitude.components)
-    return ReportDocument(
-        schema_version=SCHEMA_VERSION,
-        inputs=inputs,
-        delta=point.delta,
-        lam=point.lam,
-        regime=point.regime,
-        lambda_interval=lambda_interval,
-        regime_stability=regime_stability,
-        additivity=additivity,
-        wave=wave,
-        reproducibility=Reproducibility(seed, replicates, GENERATOR_NAME),
-    )
+        return report_from_triple(triple, seed)
+    # analyze --counts FILE: estimate with its bootstrap
+    rows = []
+    for label in labels:
+        trials = int(2.0 ** rng.uniform(0.0, 62.0))
+        trials = rng.choice((1, 2**62)) if rng.random() < 0.1 else trials
+        edge = rng.random()
+        successes = 0 if edge < 0.1 else trials if edge < 0.2 else rng.randint(0, trials)
+        rows.append(CountRow(label, successes, trials))
+    counts = CountTable(tuple(rows))
+    replicates = rng.choice(_REPORT_REPLICATES)
+    return report_from_counts(counts, replicates, rng.choice((0.5, 0.9, 0.95, 0.99)), seed)
 
 
 def _report_grid():

@@ -1,4 +1,4 @@
-"""The package surface: 62 public names, each the object its home module defines.
+"""The package surface: 64 public names, each the object its home module defines.
 
 ``ctxprob`` lists every public name once and imports its home module on first
 use, so this pin is the check that nothing was dropped, added or rebound.
@@ -24,7 +24,8 @@ EXPORTS = {
     ],
     "simulation": [
         "DirectScenario", "EstimationReport", "GENERATOR_NAME", "HyperbolicUrnScenario",
-        "TwoSlitScenario", "estimate", "sample_counts", "scenario_truth", "theta_recovery_error",
+        "TwoSlitScenario", "estimate", "report_from_counts", "report_from_triple", "sample_counts",
+        "scenario_truth", "theta_recovery_error",
     ],
     "data": [
         "AdditivityCheck", "CONTEXT_LABELS", "COUNTS_HEADER", "ContextSummary", "CountFile",
@@ -43,7 +44,7 @@ HOMES = [(name, home) for home, names in EXPORTS.items() for name in names]
 
 
 def test_all_lists_the_pinned_names_once():
-    assert len(NAMES) == 62
+    assert len(NAMES) == 64
     assert sorted(ctxprob.__all__) == NAMES
 
 

@@ -5,8 +5,10 @@ model) must stay importable without numpy and must not depend on the
 sampling layer (``simulation``) or the command line (``cli``).  The check
 reads each module's source with :mod:`ast`, so it also catches imports
 placed inside functions.  The same ``ast`` walk checks that the 1e-12
-round-off slack is written once, as ``calculus.ROUND_OFF``, and that the
-whole-number test ``x % 1`` is written once, in ``data._whole``.
+round-off slack is written once, as ``calculus.ROUND_OFF``, that the
+whole-number test ``x % 1`` is written once, in ``data._whole``, and that
+an analysis becomes a ``ReportDocument`` in one place, the report builders'
+shared assembly.
 
 At run time, only sampling and the bootstrap load numpy: ``range``,
 ``sweep`` and direct-mode ``analyze`` run in a fresh interpreter without it.
@@ -24,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import ctxprob
-from ctxprob import data
+from ctxprob import data, simulation
 
 PACKAGE_DIR = Path(ctxprob.__file__).parent
 LOWER_LAYERS = ("calculus", "amplitudes", "errors", "data")
@@ -131,6 +133,43 @@ def test_one_whole_number_check():
         ("data.py", True)
     ], places
     assert round_trips == []
+
+
+def _calls_to(name: str, source: str) -> list[int]:
+    """Lines that call ``name(...)``, as a bare name or an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
+    ]
+
+
+@pytest.mark.parametrize("source", ["ReportDocument(1)", "data.ReportDocument(**f)"])
+def test_detector_flags_each_call_form(source):
+    assert _calls_to("ReportDocument", source) == [1]
+
+
+def _inside(function, line: int) -> bool:
+    lines, start = inspect.getsourcelines(function)
+    return start <= line < start + len(lines)
+
+
+def test_one_report_assembly():
+    """An analysis becomes a ReportDocument in one place, simulation._report.
+
+    The only other call is the reader's, data._read_document, which builds a
+    document from parsed fields rather than from an analysis.
+    """
+    places = [
+        (path.name, line)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for line in _calls_to("ReportDocument", path.read_text(encoding="utf-8"))
+    ]
+    assert [
+        (name, _inside(data._read_document if name == "data.py" else simulation._report, line))
+        for name, line in places
+    ] == [("data.py", True), ("simulation.py", True)], places
 
 
 # The closed-form subcommands never draw, so they must not pay for importing numpy.

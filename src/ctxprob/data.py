@@ -308,12 +308,14 @@ class ContextSummary:
             raise ValueError("successes and trials must be both present or both null")
         if self.trials is not None:
             trials = _whole(self.trials, "trials", 1, _INTEGER_BOUND)
-            _whole(self.successes, "successes", 0, trials + 1)
-            if self.p_hat != self.successes / self.trials:
+            successes = _whole(self.successes, "successes", 0, trials + 1)
+            if self.p_hat != successes / trials:
                 raise ValueError(
-                    f"p_hat must equal successes / trials = {self.successes / self.trials!r}, "
+                    f"p_hat must equal successes / trials = {successes / trials!r}, "
                     f"got {self.p_hat!r}"
                 )
+            object.__setattr__(self, "successes", successes)
+            object.__setattr__(self, "trials", trials)
         if self.interval is not None and not 0.0 <= self.interval[0] <= self.interval[1] <= 1.0:
             raise ValueError(f"interval must satisfy 0 <= lo <= hi <= 1, got {self.interval!r}")
 
@@ -343,8 +345,8 @@ class Reproducibility:
     generator_name: str
 
     def __post_init__(self) -> None:
-        _whole(self.seed, "seed", 0, 2**64)
-        _whole(self.replicates, "replicates", 0, math.inf)
+        object.__setattr__(self, "seed", _whole(self.seed, "seed", 0, 2**64))
+        object.__setattr__(self, "replicates", _whole(self.replicates, "replicates", 0, math.inf))
 
 
 @dataclass(frozen=True)
@@ -611,7 +613,7 @@ def parse_report(data: bytes | str) -> ReportDocument:
             ) from None
     try:
         obj = json.loads(data)
-    except ValueError as e:  # a JSONDecodeError, or an integer past int()'s digit limit
+    except (ValueError, RecursionError) as e:  # bad JSON, an int past the digit limit, deep nesting
         raise ParseError(
             f"invalid report JSON: {getattr(e, 'msg', e)}",
             line=getattr(e, "lineno", 1),

@@ -14,10 +14,11 @@ import pytest
 import ctxprob
 from ctxprob import amplitudes, cli, data
 from ctxprob.amplitudes import ComplexAmplitude, SplitComplexAmplitude
-from ctxprob.calculus import lambda_range, reconstruct_probability
+from ctxprob.calculus import ContextTriple, lambda_range, reconstruct_probability
 from ctxprob.cli import main
-from ctxprob.data import parse_report
+from ctxprob.data import parse_counts, parse_report, write_report
 from ctxprob.errors import DegenerateRegime, InadmissibleLambda
+from ctxprob.simulation import report_from_counts, report_from_triple
 
 
 def run_cli(capsysbinary, *argv):
@@ -367,6 +368,17 @@ class TestPipeline:
         assert doc["regime"]["kind"] == "trigonometric"
         lo, hi = doc["lambda_interval"]
         assert lo <= 0.5 <= hi
+
+    def test_report_builders_give_the_bytes_analyze_writes(self, capsysbinary, tmp_path):
+        counts = (b"context,successes,trials\nS,900,1000\nS1,400,1000\nS2,500,1000\n"
+                  b"S1p,100,1000\nS2p,90,1000\n")
+        path = tmp_path / "counts.csv"
+        path.write_bytes(counts)
+        _, out, _ = run_cli(capsysbinary, "analyze", str(path), "--seed", "7")
+        assert out == write_report(report_from_counts(parse_counts(counts).table, 1000, 0.95, 7))
+        _, out, _ = run_cli(capsysbinary, "analyze", "--p-s", "0.9", "--p1p", "0.1", "--p2p", "0.1",
+                            "--p1", "0.4", "--p2", "0.5", "--seed", "7")
+        assert out == write_report(report_from_triple(ContextTriple(0.9, 0.1, 0.1, 0.4, 0.5), 7))
 
 
 class TestSweep:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import stat
 import sys
 
@@ -218,9 +219,13 @@ class TestReportDocument:
         plain = _minimal_doc()
         subclassed = _minimal_doc(
             inputs={**plain.inputs, "S": ContextSummary(0.9, Real(9.0), Real(10.0), (0.6, 1.0))},
-            reproducibility=Reproducibility(42, 1000, Name("philox4x64-seedseq-v1")),
+            reproducibility=Reproducibility(42.0, Real(1000.0), Name("philox4x64-seedseq-v1")),
         )
         assert write_report(subclassed) == write_report(plain)
+        # whole counts are kept as the int they check as, like CountRow's
+        summary, repro = subclassed.inputs["S"], subclassed.reproducibility
+        assert [type(n) for n in (summary.successes, summary.trials)] == [int, int]
+        assert [type(n) for n in (repro.seed, repro.replicates)] == [int, int]
         with pytest.raises(TypeError, match="cannot serialize object"):
             write_report(_minimal_doc(reproducibility=Reproducibility(42, 1000, object())))
 
@@ -366,7 +371,9 @@ def test_parse_report_raises_once_per_defect(path, value, fragment):
 
 
 @pytest.mark.parametrize(
-    "text", ["not json", "1" * 5000], ids=["not-json", "integer-past-digit-limit"]
+    "text",
+    ["not json", "1" * 5000, "[" * 100000, '{"a":' * 100000],
+    ids=["not-json", "integer-past-digit-limit", "deep-arrays", "deep-objects"],
 )
 def test_parse_report_rejects_unreadable_json(text):
     _assert_bad_document(text, "invalid report JSON")
@@ -664,6 +671,62 @@ def test_documents_refuse_or_round_trip(fields):
     except (ValueError, TypeError):
         return
     assert parse_report(write_report(doc)) == doc
+
+
+# -- byte-level fuzz of the report reader ---------------------------------
+
+_REPORT_MUTATIONS = ("digit", "truncate", "nest", "huge-integer", "invalid-utf8", "flip")
+_INSERTS = {
+    "nest": (b"[" * 1000, b"[" * 100000, b'{"a": ' * 1000, b'{"a": ' * 100000),
+    "huge-integer": (b"9" * 20, b"9" * 309, b"9" * 4300, b"9" * 5000),
+    "invalid-utf8": (b"\xff", b"\xc3", b"\xed\xa0\x80"),
+}
+
+
+def _mutated(blob: bytes, mutation: str, edits) -> bytes:
+    """``blob`` with ``mutation`` made at each ``(spot, choice)`` of ``edits``, in turn.
+
+    ``spot`` picks the position among the mutation's candidates, ``choice`` what
+    goes there.  A digit is swapped for another digit, which often leaves a
+    report that parses.  Deep nesting and huge integers go where a JSON value
+    starts (the start of the text or after a key's colon), so that the decoder
+    reaches them.
+    """
+    for spot, choice in edits:
+        if mutation == "digit":
+            spots = [m.start() for m in re.finditer(rb"[0-9]", blob)]
+        elif mutation in ("nest", "huge-integer"):
+            spots = [0] + [m.end() for m in re.finditer(b": ", blob)]
+        else:
+            spots = range(len(blob) + (mutation != "flip"))
+        if not spots:
+            continue
+        at = spots[spot % len(spots)]
+        if mutation == "digit":
+            blob = blob[:at] + str(choice % 10).encode() + blob[at + 1:]
+        elif mutation == "truncate":
+            blob = blob[:at]
+        elif mutation == "flip":
+            blob = blob[:at] + bytes([blob[at] ^ (choice % 255 + 1)]) + blob[at + 1:]
+        else:
+            inserts = _INSERTS[mutation]
+            blob = blob[:at] + inserts[choice % len(inserts)] + blob[at:]
+    return blob
+
+
+@settings(max_examples=100)
+@given(
+    doc=_documents(),
+    mutation=st.sampled_from(_REPORT_MUTATIONS),
+    edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=3),
+)
+def test_mutated_reports_refuse_or_round_trip(doc, mutation, edits):
+    """parse_report raises ParseError for every defect; what it accepts it can write back."""
+    try:
+        parsed = parse_report(_mutated(write_report(doc), mutation, edits))
+    except ParseError:
+        return
+    assert parse_report(write_report(parsed)) == parsed
 
 
 def test_context_probabilities_in_canonical_order():

@@ -1,4 +1,4 @@
-"""Synthetic context-transition experiments with reproducible sampling.
+"""Synthetic context-transition experiments, their estimation, and the report ``analyze`` writes.
 
 A scenario is its ground truth: each of the three families returns the
 :class:`~ctxprob.calculus.ContextTriple` of its context probabilities.
@@ -24,11 +24,6 @@ stream-compatibility policy (NEP 19), so a seed's counts are fixed for a
 given numpy version.  numpy is imported only by the code that draws (the
 stream constructor and the bootstrap), so scenarios and the constants load
 without it.
-
-:func:`report_from_counts` and :func:`report_from_triple` build the report
-that ``analyze`` writes for a count table or for direct probabilities: the
-point analysis, the bootstrap fields, the additivity check and the wave,
-put together in one place.
 """
 
 from __future__ import annotations

@@ -78,9 +78,10 @@ def trig_wave(p1_prime, p2_prime, theta: float) -> ComplexAmplitude:
     a = Probability(p1_prime, "p1_prime")
     b = Probability(p2_prime, "p2_prime")
     t = float(theta)
-    if not (-ROUND_OFF <= t <= math.pi + ROUND_OFF):
-        raise ValueError(f"trigonometric phase must lie in [0, pi], got {theta!r}")
-    t = min(max(t, 0.0), math.pi)
+    if not 0.0 <= t <= math.pi:
+        if not (-ROUND_OFF <= t <= math.pi + ROUND_OFF):
+            raise ValueError(f"trigonometric phase must lie in [0, pi], got {theta!r}")
+        t = min(max(t, 0.0), math.pi)
     ra = math.sqrt(a)
     rb = math.sqrt(b)
     return ComplexAmplitude(re=ra + rb * math.cos(t), im=rb * math.sin(t))
@@ -124,10 +125,10 @@ def wave_from_analysis(
     analyses have no phase and raise :class:`DegenerateRegime`.
     """
     regime = analysis.regime
-    if isinstance(regime, Degenerate):
-        raise DegenerateRegime(f"no wave exists for a degenerate analysis ({regime.reason.value})")
     if isinstance(regime, Trigonometric):
         return trig_wave(p1_prime, p2_prime, regime.theta)
     if isinstance(regime, Hyperbolic):
         return hyper_wave(p1_prime, p2_prime, regime.theta, regime.sign)
+    if isinstance(regime, Degenerate):
+        raise DegenerateRegime(f"no wave exists for a degenerate analysis ({regime.reason.value})")
     raise TypeError(f"unknown regime type: {regime!r}")

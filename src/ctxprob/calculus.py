@@ -62,6 +62,10 @@ class Probability(float):
     """
 
     def __new__(cls, value: float, name: str = "probability") -> "Probability":
+        if type(value) is cls:
+            return value
+        if type(value) is float and 0.0 < value <= 1.0:
+            return float.__new__(cls, value)
         x = float(value)
         if not math.isfinite(x) or x < -ROUND_OFF or x > 1.0 + ROUND_OFF:
             raise InvalidProbability(f"{name} must lie in [0, 1], got {value!r}")
@@ -92,18 +96,19 @@ class ContextTriple:
         object.__setattr__(self, "p_s", Probability(self.p_s))
         object.__setattr__(self, "p1_prime", Probability(self.p1_prime))
         object.__setattr__(self, "p2_prime", Probability(self.p2_prime))
-        if (self.p1 is None) != (self.p2 is None):
+        if self.p1 is None and self.p2 is None:
+            return
+        if self.p1 is None or self.p2 is None:
             raise AdditivityViolation("p1 and p2 must be both present or both absent")
-        if self.p1 is not None:
-            object.__setattr__(self, "p1", Probability(self.p1))
-            object.__setattr__(self, "p2", Probability(self.p2))
-            gap = abs(float(self.p_s) - (float(self.p1) + float(self.p2)))
-            if gap > _ADDITIVITY_TOL:
-                raise AdditivityViolation(
-                    f"p_s={float(self.p_s)!r} deviates from p1+p2="
-                    f"{float(self.p1) + float(self.p2)!r} by {gap:.3e} "
-                    f"(tolerance {_ADDITIVITY_TOL:.1e})"
-                )
+        object.__setattr__(self, "p1", Probability(self.p1))
+        object.__setattr__(self, "p2", Probability(self.p2))
+        gap = abs(self.p_s - (self.p1 + self.p2))
+        if gap > _ADDITIVITY_TOL:
+            raise AdditivityViolation(
+                f"p_s={float(self.p_s)!r} deviates from p1+p2="
+                f"{self.p1 + self.p2!r} by {gap:.3e} "
+                f"(tolerance {_ADDITIVITY_TOL:.1e})"
+            )
 
 
 class DegenerateReason(enum.Enum):
@@ -267,8 +272,8 @@ def reconstruct_probability(p1_prime, p2_prime, lam: float) -> Probability:
     to [0, 1].  Values outside [-ROUND_OFF, 1 + ROUND_OFF] raise
     :class:`InadmissibleLambda`: no context transition can produce them.
     """
-    a = float(Probability(p1_prime, "p1_prime"))
-    b = float(Probability(p2_prime, "p2_prime"))
+    a = Probability(p1_prime, "p1_prime")
+    b = Probability(p2_prime, "p2_prime")
     x = float(lam)
     if not math.isfinite(x):
         raise NonFinite(f"lambda must be finite, got {lam!r}")
@@ -276,7 +281,7 @@ def reconstruct_probability(p1_prime, p2_prime, lam: float) -> Probability:
     value = a + b + 2.0 * math.sqrt(a * b) * x
     if value < -ROUND_OFF or value > 1.0 + ROUND_OFF:
         raise InadmissibleLambda(
-            f"lambda={x!r} maps ({a!r}, {b!r}) to {value!r}, outside [0, 1]"
+            f"lambda={x!r} maps ({float(a)!r}, {float(b)!r}) to {value!r}, outside [0, 1]"
         )
     return Probability(value)
 
@@ -304,9 +309,9 @@ def analyze(triple: ContextTriple) -> TransitionAnalysis:
     degeneracy is encoded in the analysis rather than raised, so batch
     processing never aborts.
     """
-    a = float(triple.p1_prime)
-    b = float(triple.p2_prime)
-    delta = float(triple.p_s) - a - b
+    a = triple.p1_prime
+    b = triple.p2_prime
+    delta = triple.p_s - a - b
     try:
         lam = delta / _denominator(a, b)
     except DegenerateDenominator:
@@ -347,8 +352,8 @@ def correspondence_scan(
     points = []
     for eps in epsilons:
         e = float(eps)
-        q1 = float(base.p1) + e * c1
-        q2 = float(base.p2) + e * c2
+        q1 = base.p1 + e * c1
+        q2 = base.p2 + e * c2
         for name, q in (("p1", q1), ("p2", q2)):
             if not (0.0 < q <= 1.0 + ROUND_OFF):
                 raise InvalidPerturbedProbability(

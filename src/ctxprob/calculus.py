@@ -57,7 +57,8 @@ class Probability(float):
 
     Values outside the interval are rejected, except for round-off
     excursions within ``ROUND_OFF`` of an endpoint, which are clipped to
-    that endpoint.  ``name`` identifies the value in the error message,
+    that endpoint.  Zero is stored as +0.0, and a ``Probability`` passes
+    through as it is.  ``name`` identifies the value in the error message,
     e.g. ``"p1_prime"`` or a command-line flag.
     """
 
@@ -69,7 +70,7 @@ class Probability(float):
         x = float(value)
         if not math.isfinite(x) or x < -ROUND_OFF or x > 1.0 + ROUND_OFF:
             raise InvalidProbability(f"{name} must lie in [0, 1], got {value!r}")
-        return super().__new__(cls, min(max(x, 0.0), 1.0))
+        return super().__new__(cls, max(0.0, min(x, 1.0)))
 
     def __repr__(self) -> str:
         return f"Probability({float(self)!r})"

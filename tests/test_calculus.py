@@ -56,6 +56,10 @@ class TestProbability:
         assert Probability(0.25) * 2 == 0.5
         assert math.sqrt(Probability(0.25)) == 0.5
 
+    def test_zero_is_stored_as_positive_zero(self):
+        assert math.copysign(1.0, Probability(-0.0)) == 1.0
+        assert repr(Probability(-0.0)) == "Probability(0.0)"
+
 
 class TestContextTriple:
     def test_coerces_fields(self):

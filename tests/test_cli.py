@@ -71,6 +71,12 @@ class TestAnalyzeDirect:
         assert doc["regime"]["kind"] == "degenerate"
         assert doc["wave"] is None
 
+    def test_negative_zero_probability_is_written_as_zero(self, capsysbinary):
+        argv = ["analyze", "--p-s", "0.5", "--p2p", "0.2", "--p1p"]
+        code, out, _ = run_cli(capsysbinary, *argv, "-0")
+        assert code == 0 and b'"p_hat": 0,' in out
+        assert out == run_cli(capsysbinary, *argv, "0")[1]
+
     def test_out_of_range_probability_exits_3(self, capsysbinary):
         code, _, err = run_cli(
             capsysbinary, "analyze", "--p-s", "1.5", "--p1p", "0.1", "--p2p", "0.1"
@@ -304,6 +310,12 @@ class TestSimulate:
         code, out, err = run_cli(capsysbinary, "analyze", "-", "--replicates", "10")
         assert code == 0 and err == b""
         assert json.loads(out)["inputs"]["S"]["trials"] == 2**63 - 1
+
+    def test_negative_zero_probability_in_truth_line(self, capsysbinary):
+        argv = ["simulate", "direct", "--p-s", "0.5", "--p2p", "0.2", "--trials", "10", "--p1p"]
+        code, out, err = run_cli(capsysbinary, *argv, "-0")
+        assert code == 0 and b" p1p=0 " in err
+        assert (out, err) == run_cli(capsysbinary, *argv, "0")[1:]
 
     def test_direct_p1_without_p2_exits_1(self, capsysbinary):
         code, _, err = run_cli(

@@ -174,6 +174,8 @@ class AdditivityCheck:
                 f"consistent must equal |z_statistic| <= 3 for a finite z_statistic, "
                 f"got {self.consistent!r} for z_statistic {z!r}"
             )
+        object.__setattr__(self, "z_statistic", float(z))
+        object.__setattr__(self, "consistent", bool(self.consistent))
 
 
 class _CountError(Exception):
@@ -320,6 +322,7 @@ class ContextSummary:
             object.__setattr__(self, "trials", trials)
         if self.interval is not None and not 0.0 <= self.interval[0] <= self.interval[1] <= 1.0:
             raise ValueError(f"interval must satisfy 0 <= lo <= hi <= 1, got {self.interval!r}")
+        object.__setattr__(self, "p_hat", float(self.p_hat))
 
 
 def WaveSummary(kind, components) -> ComplexAmplitude | SplitComplexAmplitude:
@@ -392,6 +395,9 @@ class ReportDocument:
                 )
             if not all(map(math.isfinite, self.wave.components)):
                 raise ValueError(f"wave components must be finite, got {self.wave.components!r}")
+        for name in ("delta", "lam", "regime_stability"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
 
 
 # What json.dumps returns for a string under its default settings.

@@ -226,6 +226,17 @@ class TestReportDocument:
         summary, repro = subclassed.inputs["S"], subclassed.reproducibility
         assert [type(n) for n in (summary.successes, summary.trials)] == [int, int]
         assert [type(n) for n in (repro.seed, repro.replicates)] == [int, int]
+        # real fields are kept as the float they check as, consistent as a bool
+        ints = _minimal_doc(
+            inputs={**plain.inputs, "S2p": ContextSummary(True)},
+            delta=True, lam=3, regime=Hyperbolic(1, math.acosh(3)), regime_stability=True,
+            additivity=AdditivityCheck(0, 1),
+        )
+        reals = (ints.inputs["S2p"].p_hat, ints.delta, ints.lam, ints.regime_stability,
+                 ints.additivity.z_statistic)
+        assert [type(x) for x in reals] == [float] * 5
+        assert type(ints.additivity.consistent) is bool
+        assert parse_report(write_report(ints)) == ints
         with pytest.raises(TypeError, match="cannot serialize object"):
             write_report(_minimal_doc(reproducibility=Reproducibility(42, 1000, object())))
 

@@ -70,7 +70,7 @@ class Probability(float):
         x = float(value)
         if not math.isfinite(x) or x < -ROUND_OFF or x > 1.0 + ROUND_OFF:
             raise InvalidProbability(f"{name} must lie in [0, 1], got {value!r}")
-        return super().__new__(cls, max(0.0, min(x, 1.0)))
+        return float.__new__(cls, max(0.0, min(x, 1.0)))
 
     def __repr__(self) -> str:
         return f"Probability({float(self)!r})"

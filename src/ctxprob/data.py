@@ -58,8 +58,6 @@ _INTEGER_BOUND = 2**63
 
 def _whole(value, name: str, lo: int, hi: float) -> int:
     """``value`` as an int if it is a whole number in [lo, hi); NaN, infinities and text are not."""
-    if type(value) is int and lo <= value < hi:
-        return value
     if isinstance(value, (str, bytes)) or not (value % 1 == 0 and lo <= value < hi):
         bound = {2**63: "2**63", 2**64: "2**64"}.get(hi, hi)
         raise ValueError(f"{name} must lie in [{lo}, {bound}) and be whole, got {value!r}")

@@ -1,12 +1,11 @@
-"""The exact-type fast paths of ``Probability`` and ``data._whole`` agree with the general rule.
+"""The exact-type fast paths of ``Probability`` agree with the general rule.
 
 ``Probability`` passes a ``Probability`` through and takes an exact float in
-(0, 1] with one comparison; ``_whole`` takes an exact int in [lo, hi) with
-one.  Every other input goes down the general path.  The references below
-are that general path on its own, as it was before the fast paths were
-added (with zero stored as +0.0).  For each input, both sides must raise the
-same exception type and message, or return the same type with the same
-value, compared bit for bit for floats.
+(0, 1] with one comparison.  Every other input goes down the general path.
+The reference below is that general path on its own, as it was before the
+fast paths were added (with zero stored as +0.0).  For each input, both
+sides must raise the same exception type and message, or return the same
+type with the same value, compared bit for bit.
 """
 
 import math
@@ -21,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxprob.calculus import ROUND_OFF, Probability
-from ctxprob.data import _whole
 from ctxprob.errors import InvalidProbability
 
 
@@ -32,21 +30,12 @@ def reference_probability(value, name="probability"):
     return float.__new__(Probability, max(0.0, min(x, 1.0)))
 
 
-def reference_whole(value, name, lo, hi):
-    if isinstance(value, (str, bytes)) or not (value % 1 == 0 and lo <= value < hi):
-        bound = {2**63: "2**63", 2**64: "2**64"}.get(hi, hi)
-        raise ValueError(f"{name} must lie in [{lo}, {bound}) and be whole, got {value!r}")
-    return int(value)
-
-
 def _outcome(call, *args):
     try:
         result = call(*args)
     except Exception as e:  # the exception is the outcome under comparison
         return type(e), str(e)
-    if isinstance(result, float):
-        return type(result), struct.pack("<d", result)
-    return type(result), result
+    return type(result), struct.pack("<d", result)
 
 
 class Real(float):
@@ -67,8 +56,6 @@ EDGE_VALUES = [
     Real(0.5), Real(-0.0), Real(1.0), Real(4.0), Probability(0.25), Probability(0.0),
     Probability(1.0), "0.5", "-0", "x", b"0.5", b"", None,
 ]
-# (lo, hi) as _whole's callers pass them
-BOUNDS = [(0, 2**63), (1, 2**63), (0, 2**64), (0, math.inf), (0, 11), (1, 2)]
 
 
 @pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
@@ -91,18 +78,3 @@ def test_probability_passes_through():
     assert Probability(p) is p
     assert Probability(p, "--p1p") is p
 
-
-@pytest.mark.parametrize("lo, hi", BOUNDS)
-def test_whole_agrees_with_reference(lo, hi):
-    ints = [lo - 1, lo, hi - 1, hi, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 10**400]
-    for value in ints + EDGE_VALUES:
-        assert _outcome(_whole, value, "seed", lo, hi) == _outcome(
-            reference_whole, value, "seed", lo, hi), value
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(st.integers(), st.floats()), st.sampled_from(BOUNDS))
-def test_whole_agrees_with_reference_on_numbers(value, bounds):
-    lo, hi = bounds
-    assert _outcome(_whole, value, "trials", lo, hi) == _outcome(
-        reference_whole, value, "trials", lo, hi)

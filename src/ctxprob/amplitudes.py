@@ -78,10 +78,9 @@ def trig_wave(p1_prime, p2_prime, theta: float) -> ComplexAmplitude:
     a = Probability(p1_prime, "p1_prime")
     b = Probability(p2_prime, "p2_prime")
     t = float(theta)
-    if not 0.0 <= t <= math.pi:
-        if not (-ROUND_OFF <= t <= math.pi + ROUND_OFF):
-            raise ValueError(f"trigonometric phase must lie in [0, pi], got {theta!r}")
-        t = min(max(t, 0.0), math.pi)
+    if not (-ROUND_OFF <= t <= math.pi + ROUND_OFF):
+        raise ValueError(f"trigonometric phase must lie in [0, pi], got {theta!r}")
+    t = min(max(t, 0.0), math.pi)
     ra = math.sqrt(a)
     rb = math.sqrt(b)
     return ComplexAmplitude(re=ra + rb * math.cos(t), im=rb * math.sin(t))

@@ -64,6 +64,11 @@ def _whole(value, name: str, lo: int, hi: float) -> int:
     return int(value)
 
 
+def _pair(value) -> tuple[float, float] | None:
+    """``value`` as a pair of floats, or None."""
+    return None if value is None else (float(value[0]), float(value[1]))
+
+
 def _by_label(items: dict, noun: str) -> dict:
     """``items`` keyed by context label, in CONTEXT_LABELS order; S, S1p and S2p are required."""
     unknown = items.keys() - CONTEXT_LABELS
@@ -321,6 +326,7 @@ class ContextSummary:
         if self.interval is not None and not 0.0 <= self.interval[0] <= self.interval[1] <= 1.0:
             raise ValueError(f"interval must satisfy 0 <= lo <= hi <= 1, got {self.interval!r}")
         object.__setattr__(self, "p_hat", float(self.p_hat))
+        object.__setattr__(self, "interval", _pair(self.interval))
 
 
 def WaveSummary(kind, components) -> ComplexAmplitude | SplitComplexAmplitude:
@@ -396,6 +402,7 @@ class ReportDocument:
         for name in ("delta", "lam", "regime_stability"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "lambda_interval", _pair(interval))
 
 
 # What json.dumps returns for a string under its default settings.
@@ -436,28 +443,22 @@ def _regime_tree(regime: Regime) -> dict:
     return {"kind": regime.kind, "reason": regime.reason.value}
 
 
-def _pair(value: tuple[float, float] | None) -> list[float] | None:
-    if value is None:
-        return None
-    return [float(value[0]), float(value[1])]
-
-
 def _document_tree(doc: ReportDocument) -> dict:
     inputs = {}
     for label, summary in doc.inputs.items():
         inputs[label] = {
-            "p_hat": float(summary.p_hat),
-            "successes": None if summary.trials is None else int(summary.successes),
-            "trials": None if summary.trials is None else int(summary.trials),
-            "interval": _pair(summary.interval),
+            "p_hat": summary.p_hat,
+            "successes": summary.successes,
+            "trials": summary.trials,
+            "interval": summary.interval,
         }
     if doc.additivity is None:
         additivity = {"present": False}
     else:
         additivity = {
             "present": True,
-            "z_statistic": float(doc.additivity.z_statistic),
-            "consistent": bool(doc.additivity.consistent),
+            "z_statistic": doc.additivity.z_statistic,
+            "consistent": doc.additivity.consistent,
         }
     wave = None
     if doc.wave is not None:
@@ -465,16 +466,16 @@ def _document_tree(doc: ReportDocument) -> dict:
     return {
         "schema_version": doc.schema_version,
         "inputs": inputs,
-        "delta": float(doc.delta),
-        "lambda": None if doc.lam is None else float(doc.lam),
+        "delta": doc.delta,
+        "lambda": doc.lam,
         "regime": _regime_tree(doc.regime),
-        "lambda_interval": _pair(doc.lambda_interval),
-        "regime_stability": None if doc.regime_stability is None else float(doc.regime_stability),
+        "lambda_interval": doc.lambda_interval,
+        "regime_stability": doc.regime_stability,
         "additivity_check": additivity,
         "wave": wave,
         "reproducibility": {
-            "seed": int(doc.reproducibility.seed),
-            "replicates": int(doc.reproducibility.replicates),
+            "seed": doc.reproducibility.seed,
+            "replicates": doc.reproducibility.replicates,
             "generator_name": doc.reproducibility.generator_name,
         },
     }

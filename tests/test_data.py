@@ -228,13 +228,13 @@ class TestReportDocument:
         assert [type(n) for n in (repro.seed, repro.replicates)] == [int, int]
         # real fields are kept as the float they check as, consistent as a bool
         ints = _minimal_doc(
-            inputs={**plain.inputs, "S2p": ContextSummary(True)},
-            delta=True, lam=3, regime=Hyperbolic(1, math.acosh(3)), regime_stability=True,
-            additivity=AdditivityCheck(0, 1),
+            inputs={**plain.inputs, "S2p": ContextSummary(True, interval=(True, True))},
+            delta=True, lam=3, regime=Hyperbolic(1, math.acosh(3)), lambda_interval=(2, 4),
+            regime_stability=True, additivity=AdditivityCheck(0, 1),
         )
-        reals = (ints.inputs["S2p"].p_hat, ints.delta, ints.lam, ints.regime_stability,
-                 ints.additivity.z_statistic)
-        assert [type(x) for x in reals] == [float] * 5
+        reals = (ints.inputs["S2p"].p_hat, *ints.inputs["S2p"].interval, ints.delta, ints.lam,
+                 *ints.lambda_interval, ints.regime_stability, ints.additivity.z_statistic)
+        assert [type(x) for x in reals] == [float] * 9
         assert type(ints.additivity.consistent) is bool
         assert parse_report(write_report(ints)) == ints
         with pytest.raises(TypeError, match="cannot serialize object"):

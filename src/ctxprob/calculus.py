@@ -131,6 +131,8 @@ class Trigonometric:
     def __post_init__(self) -> None:
         if not (0.0 <= self.theta <= math.pi):
             raise ValueError(f"trigonometric phase must lie in [0, pi], got {self.theta!r}")
+        if type(self.theta) is not float:  # kept as the float it checks as, which a report writes
+            object.__setattr__(self, "theta", float(self.theta))
 
 
 # Largest hyperbolic phase, about 710.4759: its cosh is the largest finite float.
@@ -155,6 +157,9 @@ class Hyperbolic:
             raise ValueError(f"hyperbolic sign must be +1 or -1, got {self.sign!r}")
         if not (0.0 < self.theta <= _MAX_THETA):
             raise ValueError(f"hyperbolic phase must lie in (0, {_MAX_THETA!r}], got {self.theta!r}")
+        if type(self.sign) is not int or type(self.theta) is not float:  # as Trigonometric's theta
+            object.__setattr__(self, "sign", int(self.sign))
+            object.__setattr__(self, "theta", float(self.theta))
 
 
 @dataclass(frozen=True)

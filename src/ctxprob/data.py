@@ -22,6 +22,7 @@ A report's wave is the :class:`~ctxprob.amplitudes.ComplexAmplitude` or
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import errno
 import json
@@ -409,15 +410,11 @@ class ReportDocument:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _format_real(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite number {x!r}")
-    return f"{x:.17g}"
-
-
 def _render(node, pad: str) -> str:
     if isinstance(node, float):
-        return _format_real(node)
+        if not math.isfinite(node):
+            raise ValueError(f"cannot serialize non-finite number {node!r}")
+        return f"{node:.17g}"
     if isinstance(node, str):
         return _quote(node)
     if isinstance(node, dict):
@@ -432,58 +429,33 @@ def _render(node, pad: str) -> str:
         return str(node)
     if node is None:
         return "null"
+    if isinstance(node, DegenerateReason):
+        return _quote(node.value)
     raise TypeError(f"cannot serialize {type(node).__name__}")
-
-
-def _regime_tree(regime: Regime) -> dict:
-    if isinstance(regime, Trigonometric):
-        return {"kind": regime.kind, "theta": float(regime.theta)}
-    if isinstance(regime, Hyperbolic):
-        return {"kind": regime.kind, "sign": int(regime.sign), "theta": float(regime.theta)}
-    return {"kind": regime.kind, "reason": regime.reason.value}
-
-
-def _document_tree(doc: ReportDocument) -> dict:
-    inputs = {}
-    for label, summary in doc.inputs.items():
-        inputs[label] = {
-            "p_hat": summary.p_hat,
-            "successes": summary.successes,
-            "trials": summary.trials,
-            "interval": summary.interval,
-        }
-    if doc.additivity is None:
-        additivity = {"present": False}
-    else:
-        additivity = {
-            "present": True,
-            "z_statistic": doc.additivity.z_statistic,
-            "consistent": doc.additivity.consistent,
-        }
-    wave = None
-    if doc.wave is not None:
-        wave = {"kind": doc.wave.kind, "components": _pair(doc.wave.components)}
-    return {
-        "schema_version": doc.schema_version,
-        "inputs": inputs,
-        "delta": doc.delta,
-        "lambda": doc.lam,
-        "regime": _regime_tree(doc.regime),
-        "lambda_interval": doc.lambda_interval,
-        "regime_stability": doc.regime_stability,
-        "additivity_check": additivity,
-        "wave": wave,
-        "reproducibility": {
-            "seed": doc.reproducibility.seed,
-            "replicates": doc.reproducibility.replicates,
-            "generator_name": doc.reproducibility.generator_name,
-        },
-    }
 
 
 def write_report(doc: ReportDocument) -> bytes:
     """Serialize a report canonically: fixed key order, 17-digit reals."""
-    return (_render(_document_tree(doc), "") + "\n").encode("utf-8")
+    # A record's vars() are its fields in declaration order, as _RECORDS reads them back.
+    additivity = {"present": False}
+    if doc.additivity is not None:
+        additivity = {"present": True, **vars(doc.additivity)}
+    wave = None
+    if doc.wave is not None:
+        wave = {"kind": doc.wave.kind, "components": _pair(doc.wave.components)}
+    tree = {
+        "schema_version": doc.schema_version,
+        "inputs": {label: vars(summary) for label, summary in doc.inputs.items()},
+        "delta": doc.delta,
+        "lambda": doc.lam,
+        "regime": {"kind": doc.regime.kind, **vars(doc.regime)},
+        "lambda_interval": doc.lambda_interval,
+        "regime_stability": doc.regime_stability,
+        "additivity_check": additivity,
+        "wave": wave,
+        "reproducibility": vars(doc.reproducibility),
+    }
+    return (_render(tree, "") + "\n").encode("utf-8")
 
 
 # Readers of the parsed JSON tree: each defect raises ValueError, which
@@ -504,10 +476,18 @@ def _read_real(value, name: str, or_null: str = "") -> float:
     return x
 
 
-def _read_int(value, name: str, or_null: str = "") -> int:
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer{or_null}, got {value!r}")
-    return value
+def _exactly(kind: type, noun: str):
+    """The reader of a JSON value of type ``kind`` itself, so that no bool passes for an int."""
+    def read(value, name: str, or_null: str = ""):
+        if type(value) is not kind:
+            raise ValueError(f"{name} must be {noun}{or_null}, got {value!r}")
+        return value
+    return read
+
+
+_read_int, _read_bool, _read_str = (
+    _exactly(int, "an integer"), _exactly(bool, "a boolean"), _exactly(str, "a string")
+)
 
 
 def _read_pair(value, name: str, or_null: str = "") -> tuple[float, float]:
@@ -516,92 +496,107 @@ def _read_pair(value, name: str, or_null: str = "") -> tuple[float, float]:
     return (_read_real(value[0], name), _read_real(value[1], name))
 
 
+def _read_reason(value, name: str, or_null: str = "") -> DegenerateReason:
+    try:
+        return DegenerateReason(value)
+    except ValueError:
+        raise ValueError(f"unknown degeneracy reason {value!r}") from None
+
+
 def _or_null(read, value, name: str):
     return None if value is None else read(value, name, " or null")
 
 
-def _read_regime(node) -> Regime:
-    if not isinstance(node, dict) or "kind" not in node:
-        raise ValueError(f"regime must be an object with a kind, got {node!r}")
-    kind = node["kind"]
-    if kind == Trigonometric.kind:
-        return Trigonometric(theta=_read_real(node.get("theta"), "regime.theta"))
-    if kind == Hyperbolic.kind:
-        return Hyperbolic(node.get("sign"), _read_real(node.get("theta"), "regime.theta"))
-    if kind == Degenerate.kind:
-        try:
-            return Degenerate(reason=DegenerateReason(node.get("reason")))
-        except ValueError:
-            raise ValueError(f"unknown degeneracy reason {node.get('reason')!r}") from None
-    raise ValueError(f"unknown regime kind {kind!r}")
+# The report schema: each field that a record type declares, with the reader of
+# its JSON value and whether it may be null.  write_report writes a record as its
+# fields in declaration order, after a regime's "kind" or additivity_check's
+# "present"; parse_report checks each object's keys against the same fields.
+_FIELDS = {
+    "p_hat": (_read_real, False), "successes": (_read_int, True),  # ContextSummary
+    "trials": (_read_int, True), "interval": (_read_pair, True),
+    "z_statistic": (_read_real, False), "consistent": (_read_bool, False),  # AdditivityCheck
+    "seed": (_read_int, False), "replicates": (_read_int, False),  # Reproducibility
+    "generator_name": (_read_str, False),
+    "sign": (_read_int, False), "theta": (_read_real, False),  # Hyperbolic, Trigonometric
+    "reason": (_read_reason, False),  # Degenerate
+}
+
+
+def _layout(cls, *tag: str) -> tuple[tuple, frozenset]:
+    """``cls``'s fields as (name, reader, nullable), in order, and the keys of its object."""
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    return tuple((name, *_FIELDS[name]) for name in names), frozenset(tag + names)
+
+
+_RECORDS = {cls: _layout(cls) for cls in (ContextSummary, Reproducibility)}
+_RECORDS |= {cls: _layout(cls, "kind") for cls in (Trigonometric, Hyperbolic, Degenerate)}
+_RECORDS[AdditivityCheck] = _layout(AdditivityCheck, "present")
+
+
+def _check_keys(node: dict, keys, name: str) -> None:
+    if node.keys() != keys:
+        raise ValueError(f"{name} keys {sorted(node.keys() ^ keys)!r} missing or unexpected")
+
+
+def _read_record(cls, node, name: str):
+    """The ``cls`` that JSON object ``node`` holds, read field by field."""
+    if not isinstance(node, dict):
+        raise ValueError(f"{name} must be an object, got {node!r}")
+    fields, keys = _RECORDS[cls]
+    _check_keys(node, keys, name)
+    values = []
+    for field, read, nullable in fields:
+        value = node[field]
+        if nullable and value is None:
+            values.append(None)
+        else:
+            values.append(read(value, f"{name}.{field}", " or null" if nullable else ""))
+    return cls(*values)
 
 
 def _read_document(obj) -> ReportDocument:
     if not isinstance(obj, dict):
         raise ValueError("report root must be an object")
-    expected = {
-        "schema_version", "inputs", "delta", "lambda", "regime", "lambda_interval",
-        "regime_stability", "additivity_check", "wave", "reproducibility",
-    }
-    if set(obj) != expected:
-        raise ValueError(f"report keys {sorted(set(obj) ^ expected)!r} missing or unexpected")
+    _check_keys(obj, {"schema_version", "inputs", "delta", "lambda", "regime", "lambda_interval",
+                      "regime_stability", "additivity_check", "wave", "reproducibility"}, "report")
     if not isinstance(obj["inputs"], dict):
         raise ValueError("inputs must be an object")
-    inputs = {}
-    for label, node in obj["inputs"].items():
-        if not isinstance(node, dict):
-            raise ValueError(f"inputs.{label} must be an object, got {node!r}")
-        inputs[label] = ContextSummary(
-            p_hat=_read_real(node.get("p_hat"), f"inputs.{label}.p_hat"),
-            successes=_or_null(_read_int, node.get("successes"), f"inputs.{label}.successes"),
-            trials=_or_null(_read_int, node.get("trials"), f"inputs.{label}.trials"),
-            interval=_or_null(_read_pair, node.get("interval"), f"inputs.{label}.interval"),
-        )
-    add_node = obj["additivity_check"]
-    if not isinstance(add_node, dict) or not isinstance(add_node.get("present"), bool):
+    inputs = {
+        label: _read_record(ContextSummary, node, f"inputs.{label}")
+        for label, node in _by_label(obj["inputs"], "summaries").items()
+    }
+    regime = obj["regime"]
+    if not isinstance(regime, dict) or "kind" not in regime:
+        raise ValueError(f"regime must be an object with a kind, got {regime!r}")
+    for regime_type in (Trigonometric, Hyperbolic, Degenerate):
+        if regime["kind"] == regime_type.kind:
+            break
+    else:
+        raise ValueError(f"unknown regime kind {regime['kind']!r}")
+    additivity = obj["additivity_check"]
+    if not isinstance(additivity, dict) or not isinstance(additivity.get("present"), bool):
         raise ValueError("additivity_check must carry a boolean 'present'")
-    additivity = None
-    if add_node["present"]:
-        consistent = add_node.get("consistent")
-        if not isinstance(consistent, bool):
-            raise ValueError("additivity_check.consistent must be a boolean")
-        additivity = AdditivityCheck(
-            z_statistic=_read_real(add_node.get("z_statistic"), "additivity_check.z_statistic"),
-            consistent=consistent,
-        )
+    if not additivity["present"]:
+        _check_keys(additivity, {"present"}, "additivity_check")
     wave = obj["wave"]
     if wave is not None:
         if not isinstance(wave, dict):
             raise ValueError(f"wave must be an object or null, got {wave!r}")
-        wave = WaveSummary(wave.get("kind"), _read_pair(wave.get("components"), "wave.components"))
-    repro = obj["reproducibility"]
-    if not isinstance(repro, dict) or not isinstance(repro.get("generator_name"), str):
-        raise ValueError("reproducibility must be an object with a string generator_name")
-    doc = ReportDocument(
+        _check_keys(wave, {"kind", "components"}, "wave")
+        wave = WaveSummary(wave["kind"], _read_pair(wave["components"], "wave.components"))
+    return ReportDocument(
         schema_version=obj["schema_version"],
         inputs=inputs,
         delta=_read_real(obj["delta"], "delta"),
         lam=_or_null(_read_real, obj["lambda"], "lambda"),
-        regime=_read_regime(obj["regime"]),
+        regime=_read_record(regime_type, regime, "regime"),
         lambda_interval=_or_null(_read_pair, obj["lambda_interval"], "lambda_interval"),
         regime_stability=_or_null(_read_real, obj["regime_stability"], "regime_stability"),
-        additivity=additivity,
+        additivity=(_read_record(AdditivityCheck, additivity, "additivity_check")
+                    if additivity["present"] else None),
         wave=wave,
-        reproducibility=Reproducibility(
-            seed=_read_int(repro.get("seed"), "reproducibility.seed"),
-            replicates=_read_int(repro.get("replicates"), "reproducibility.replicates"),
-            generator_name=repro["generator_name"],
-        ),
+        reproducibility=_read_record(Reproducibility, obj["reproducibility"], "reproducibility"),
     )
-    tree = _document_tree(doc)  # the writer's tree is the schema of the nested objects too
-    nested = [(f"inputs.{label}", obj["inputs"][label], tree["inputs"][label]) for label in inputs]
-    for key in ("regime", "additivity_check", "wave", "reproducibility"):
-        nested.append((key, obj[key], tree[key]))
-    for name, node, written in nested:
-        if written is not None and node.keys() != written.keys():
-            keys = sorted(node.keys() ^ written.keys())
-            raise ValueError(f"{name} keys {keys!r} missing or unexpected")
-    return doc
 
 
 def parse_report(data: bytes | str) -> ReportDocument:

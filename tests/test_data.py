@@ -358,7 +358,7 @@ PARSE_REPORT_RAISES = [
     ("wave-components", ("wave", "components"), [1.0], "wave.components must be a two-element array, got"),
     ("wave-kind", ("wave", "kind"), "zz", "wave kind must be 'complex' or 'split-complex', got 'zz'"),
     ("reproducibility", ("reproducibility",), [], "reproducibility must be an object"),
-    ("generator_name", ("reproducibility", "generator_name"), 5, "string generator_name"),
+    ("generator_name", ("reproducibility", "generator_name"), 5, "generator_name must be a string"),
     ("seed", ("reproducibility", "seed"), "x", "reproducibility.seed must be an integer, got 'x'"),
     ("replicates", ("reproducibility", "replicates"), None, "reproducibility.replicates must be an integer"),
     # nested objects carry exactly the keys write_report writes

@@ -355,8 +355,20 @@ class Reproducibility:
     generator_name: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.generator_name, str):
+            raise ValueError(f"generator_name must be a string, got {self.generator_name!r}")
         object.__setattr__(self, "seed", _whole(self.seed, "seed", 0, 2**64))
         object.__setattr__(self, "replicates", _whole(self.replicates, "replicates", 0, math.inf))
+        object.__setattr__(self, "generator_name", str(self.generator_name))
+
+
+# The types each record field of a report takes, exactly: those write_report can write.
+_DOCUMENT_RECORDS = {
+    "regime": (Trigonometric, Hyperbolic, Degenerate),
+    "additivity": (AdditivityCheck, type(None)),
+    "wave": (ComplexAmplitude, SplitComplexAmplitude, type(None)),
+    "reproducibility": (Reproducibility,),
+}
 
 
 @dataclass(frozen=True)
@@ -378,13 +390,17 @@ class ReportDocument:
         if self.schema_version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {self.schema_version!r}")
         object.__setattr__(self, "inputs", _by_label(self.inputs, "summaries"))
+        for label, summary in self.inputs.items():
+            if type(summary) is not ContextSummary:
+                raise ValueError(f"unknown inputs.{label} type {summary!r}")
+        for name, types in _DOCUMENT_RECORDS.items():
+            if type(getattr(self, name)) not in types:
+                raise ValueError(f"unknown {name} type {getattr(self, name)!r}")
         if self.regime_stability is not None and not 0.0 <= self.regime_stability <= 1.0:
             raise ValueError(f"regime_stability must lie in [0, 1], got {self.regime_stability!r}")
         interval = self.lambda_interval
         if interval is not None and not -math.inf < interval[0] <= interval[1] < math.inf:
             raise ValueError(f"lambda_interval must satisfy lo <= hi, finite, got {interval!r}")
-        if not isinstance(self.regime, (Trigonometric, Hyperbolic, Degenerate)):
-            raise ValueError(f"unknown regime type {self.regime!r}")
         if not (math.isfinite(self.delta) and (self.lam is None or math.isfinite(self.lam))):
             raise ValueError(f"delta and lam must be finite, got {self.delta!r} and {self.lam!r}")
         TransitionAnalysis(self.delta, self.lam, self.regime)  # ties regime to lam

@@ -237,8 +237,9 @@ class TestReportDocument:
         assert [type(x) for x in reals] == [float] * 9
         assert type(ints.additivity.consistent) is bool
         assert parse_report(write_report(ints)) == ints
-        with pytest.raises(TypeError, match="cannot serialize object"):
-            write_report(_minimal_doc(reproducibility=Reproducibility(42, 1000, object())))
+        # a generator name the writer could not write is refused when the record is built
+        with pytest.raises(ValueError, match="generator_name must be a string"):
+            Reproducibility(42, 1000, object())
 
     def test_inputs_kept_in_canonical_order(self):
         doc = _minimal_doc(
@@ -431,6 +432,8 @@ OUT_OF_RANGE = [
     ("wave-degenerate", (), _degenerate_tree_with_wave(), "wave must be null for a degenerate regime"),
     ("wave-kind-list", ("wave", "kind"), ["complex"],
      "wave kind must be 'complex' or 'split-complex', got ['complex']"),
+    ("sign-true", ("regime", "sign"), True, "regime.sign must be an integer, got True"),
+    ("sign-float", ("regime", "sign"), 1.0, "regime.sign must be an integer, got 1.0"),
 ]
 
 
@@ -495,6 +498,16 @@ def test_parse_report_refuses_out_of_range_values(path, value, fragment):
                      id="lambda_interval-inf"),
         pytest.param(lambda: _minimal_doc(wave=WaveSummary("split-complex", (math.inf, 1.06))),
                      "wave components must be finite", id="wave-component-inf"),
+        # each of these used to build, then fail in write_report
+        pytest.param(lambda: Reproducibility(42, 1000, None), "generator_name", id="generator-foreign"),
+        pytest.param(lambda: _minimal_doc(inputs={"S": 0.9, "S1p": ContextSummary(0.1),
+                                                  "S2p": ContextSummary(0.1)}),
+                     "unknown inputs.S type", id="summary-foreign"),
+        pytest.param(lambda: _minimal_doc(additivity=1.5), "unknown additivity type",
+                     id="additivity-foreign"),
+        pytest.param(lambda: _minimal_doc(wave=(1.42, 1.06)), "unknown wave type", id="wave-foreign"),
+        pytest.param(lambda: _minimal_doc(reproducibility={"seed": 42}), "unknown reproducibility type",
+                     id="reproducibility-foreign"),
     ],
 )
 def test_document_types_refuse_out_of_range_values(build, fragment):
@@ -614,10 +627,14 @@ def test_report_round_trip_property(doc):
 _WIDE_REALS = st.one_of(st.floats(), st.booleans())
 _WIDE_PAIRS = st.tuples(_WIDE_REALS, _WIDE_REALS)
 _WIDE_COUNTS = st.one_of(st.floats(), st.booleans(), st.integers(-2, 2**65))
-_FOREIGN = st.one_of(st.none(), st.text(max_size=5), st.integers(), st.builds(object))
+_FOREIGN = st.one_of(st.none(), st.text(max_size=5), st.integers(), st.floats(), st.builds(object))
+# Fields that hold a whole record (an input summary, the additivity check, the wave, the
+# reproducibility block): drawn wide, each is a foreign value in place of the record.
+_RECORD_FIELDS = ("summary", "additivity", "wave", "reproducibility")
 _WIDE_FIELDS = (
     "delta", "lam", "regime", "lambda_interval", "regime_stability", "z_statistic", "components",
-    "seed", "replicates", "p_hat", "successes", "trials", "interval",
+    "seed", "replicates", "generator_name", "p_hat", "successes", "trials", "interval",
+    *_RECORD_FIELDS,
 )
 
 
@@ -645,20 +662,24 @@ def _wide_document_fields(draw):
                         _WIDE_PAIRS),
         seed=pick("seed", st.integers(0, 2**64 - 1), _WIDE_COUNTS),
         replicates=pick("replicates", st.integers(0, 10**6), _WIDE_COUNTS),
-        generator_name=draw(st.text(max_size=30)),
+        generator_name=pick("generator_name", st.text(max_size=30), _FOREIGN),
         p_hat=pick("p_hat", unit_reals if trials is None else st.just(successes / trials)),
         successes=pick("successes", st.just(successes), _WIDE_COUNTS),
         trials=pick("trials", st.just(trials), _WIDE_COUNTS),
         interval=pick("interval", st.one_of(st.none(), _ordered_pairs(unit_reals)), _WIDE_PAIRS),
+        foreign={name: draw(_FOREIGN) for name in _RECORD_FIELDS if name in wide},
     )
 
 
 def _wide_document(f):
+    def record(name, build):
+        return f["foreign"][name] if name in f["foreign"] else build()
+
     return ReportDocument(
         schema_version=SCHEMA_VERSION,
         inputs={
             "S": ContextSummary(f["p_hat"], f["successes"], f["trials"], f["interval"]),
-            "S1p": ContextSummary(0.25),
+            "S1p": record("summary", lambda: ContextSummary(0.25)),
             "S2p": ContextSummary(0.5, 1, 2),
         },
         delta=f["delta"],
@@ -666,11 +687,13 @@ def _wide_document(f):
         regime=f["regime"],
         lambda_interval=f["lambda_interval"],
         regime_stability=f["regime_stability"],
-        additivity=None if f["z_statistic"] is None else AdditivityCheck(
+        additivity=record("additivity", lambda: None if f["z_statistic"] is None else AdditivityCheck(
             f["z_statistic"], abs(f["z_statistic"]) <= 3.0
+        )),
+        wave=record("wave", lambda: _wave(f["wave_regime"], f["components"])),
+        reproducibility=record(
+            "reproducibility", lambda: Reproducibility(f["seed"], f["replicates"], f["generator_name"])
         ),
-        wave=_wave(f["wave_regime"], f["components"]),
-        reproducibility=Reproducibility(f["seed"], f["replicates"], f["generator_name"]),
     )
 
 

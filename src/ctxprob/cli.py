@@ -139,10 +139,13 @@ def _flag_triple(args) -> ContextTriple:
 
 
 def _read_input(path: str) -> bytes:
+    """The first ``MAX_INPUT_BYTES + 1`` bytes of ``path``: enough for the parser to refuse more."""
+    from .data import MAX_INPUT_BYTES
+
     if path == "-":
-        return sys.stdin.buffer.read()
+        return sys.stdin.buffer.read(MAX_INPUT_BYTES + 1)
     with open(path, "rb") as handle:
-        return handle.read()
+        return handle.read(MAX_INPUT_BYTES + 1)
 
 
 def _write_output(path: str, chunks: Iterable[bytes]) -> None:

@@ -55,6 +55,9 @@ COUNTS_HEADER = "context,successes,trials"
 # the length first keeps int() clear of its digit limit.
 _MAX_DIGITS = 19
 _INTEGER_BOUND = 2**63
+# The longest count file or report the parsers take: 1 MiB, in bytes (characters
+# for a str), far past any real one.  Longer input is refused before it is decoded.
+MAX_INPUT_BYTES = 2**20
 
 
 def _whole(value, name: str, lo: int, hi: float) -> int:
@@ -149,6 +152,15 @@ class ParseErrorKind(enum.Enum):
     ZERO_TRIALS = "zero-trials"
     MISSING_LABELS = "missing-labels"
     BAD_DOCUMENT = "bad-document"
+    INPUT_TOO_LARGE = "input-too-large"
+
+
+def _check_size(data: bytes | str, source: str) -> None:
+    if len(data) > MAX_INPUT_BYTES:
+        raise ParseError(
+            f"{source}: input is longer than {MAX_INPUT_BYTES} bytes", line=1,
+            kind=ParseErrorKind.INPUT_TOO_LARGE,
+        )
 
 
 @dataclass(frozen=True)
@@ -202,6 +214,7 @@ def _read_count(text: str, name: str) -> int:
 
 def parse_counts(text: bytes | str, source: str = "<memory>") -> CountFile:
     """Parse and validate a count CSV; errors carry line number and kind."""
+    _check_size(text, source)
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -618,10 +631,12 @@ def _read_document(obj) -> ReportDocument:
 def parse_report(data: bytes | str) -> ReportDocument:
     """Parse a serialized report back into an equal :class:`ReportDocument`.
 
-    Every defect raises :class:`ParseError`: ``ENCODING`` for bytes that are
-    not UTF-8, ``BAD_DOCUMENT`` for the rest.  The document types check their
-    own fields, so a report that parses is one that :func:`write_report` can write.
+    Every defect raises :class:`ParseError`: ``INPUT_TOO_LARGE`` past
+    ``MAX_INPUT_BYTES``, ``ENCODING`` for bytes that are not UTF-8,
+    ``BAD_DOCUMENT`` for the rest.  The document types check their own
+    fields, so a report that parses is one that :func:`write_report` can write.
     """
+    _check_size(data, "report")
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")

@@ -593,6 +593,36 @@ class TestAnalyzeStdinIntegerBounds:
         assert len(lines) == 1 and lines[0].startswith(b"error: parse: ")
 
 
+# A valid count file whose last line is a comment, so that padding it keeps it valid.
+_CAPPED_COUNTS = b"context,successes,trials\nS,900,1000\nS1p,100,1000\nS2p,100,1000\n#"
+_CAP = data.MAX_INPUT_BYTES
+
+
+class TestInputCap:
+    """A count file is read up to one byte past the cap; a longer one is refused unread."""
+
+    @pytest.mark.parametrize("size", [_CAP, _CAP + 1, 8 * _CAP], ids=["at-cap", "past-cap", "8MiB"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_count_file_cap(self, capsysbinary, monkeypatch, tmp_path, source, size):
+        if source == "stdin":
+            stdin = io.BytesIO(_CAPPED_COUNTS.ljust(size, b"x"))
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin))
+            path, name = "-", "<stdin>"
+        else:
+            path = name = str(tmp_path / "counts.csv")
+            with open(path, "wb") as handle:
+                handle.write(_CAPPED_COUNTS.ljust(min(size, _CAP + 1), b"x"))
+                handle.truncate(size)  # the rest is a hole, which reads as zero bytes
+        code, out, err = run_cli(capsysbinary, "analyze", path, "--replicates", "10")
+        if size == _CAP:
+            assert code == 0 and err == b"" and json.loads(out)["inputs"]["S"]["trials"] == 1000
+        else:
+            assert code == 2 and out == b""
+            assert err == f"error: parse: line 1: {name}: input is longer than {_CAP} bytes\n".encode()
+        if source == "stdin":
+            assert stdin.tell() == min(size, _CAP + 1)
+
+
 def _child_env() -> dict:
     """The environment with the imported package's directory first on PYTHONPATH."""
     env = dict(os.environ)

@@ -3,8 +3,9 @@
 Argument vectors come from a grammar over the subcommands, their float and
 integer flags (with hostile values: nan, infinities, -0.0, the smallest
 subnormal, integers around 2**63 and 2**64, non-numbers and the empty
-string), ``--output`` targets and standard input (arbitrary bytes or a
-mutated valid count file).  Each vector runs in-process through
+string), ``--output`` targets and standard input (arbitrary bytes, a
+mutated valid count file, or a valid one padded to the 1 MiB input cap or
+just past it).  Each vector runs in-process through
 ``cli.main``.  Whatever the input:
 
 * the exit code is 0, 1, 2 or 3;
@@ -29,6 +30,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from ctxprob.cli import main
+from ctxprob.data import MAX_INPUT_BYTES
 
 WILD_VALUES = ["nan", "inf", "-inf", "-0.0", "5e-324", str(2**63 - 1), str(2**63), str(2**63 + 1),
                str(2**64 - 1), str(2**64), "1e300", "-1", "-3", "3.5", "3.141592653589793", "abc", ""]
@@ -100,6 +102,13 @@ def _mutated_count_file(draw) -> bytes:
 
 
 @st.composite
+def _padded_count_file(draw) -> bytes:
+    """A valid count file whose last line, a comment, takes it to the cap or just past it."""
+    data = draw(st.sampled_from(COUNT_FILES)) + b"#"
+    return data.ljust(MAX_INPUT_BYTES + draw(st.integers(0, 2)), b"x")
+
+
+@st.composite
 def invocations(draw):
     """(argv, stdin bytes); ``{out}`` in a path stands for the test's temporary directory."""
     lead, flags = COMMANDS[draw(st.sampled_from(sorted(COMMANDS)))]
@@ -111,7 +120,7 @@ def invocations(draw):
             argv += [flag, value]
     if draw(st.integers(0, 4)) == 4:
         argv += draw(st.lists(st.sampled_from(STRAYS), min_size=1, max_size=2))
-    stdin = draw(st.one_of(_mutated_count_file(), st.binary(max_size=200)))
+    stdin = draw(st.one_of(_mutated_count_file(), st.binary(max_size=200), _padded_count_file()))
     return argv, stdin
 
 

@@ -22,6 +22,7 @@ from ctxprob.calculus import (
 from ctxprob.data import (
     CONTEXT_LABELS,
     COUNTS_HEADER,
+    MAX_INPUT_BYTES,
     SCHEMA_VERSION,
     AdditivityCheck,
     ContextSummary,
@@ -389,6 +390,43 @@ def test_parse_report_raises_once_per_defect(path, value, fragment):
 )
 def test_parse_report_rejects_unreadable_json(text):
     _assert_bad_document(text, "invalid report JSON")
+
+
+def _padded(blob: bytes, size: int, filler: bytes) -> bytes:
+    """``blob`` followed by ``filler`` bytes up to ``size`` bytes in all."""
+    return blob + filler * (size - len(blob))
+
+
+# A count file ends in a comment line and a report in whitespace, so either parses
+# at any length: only the cap can refuse it.
+_AT_CAP = {
+    "counts": (parse_counts, lambda size: _padded(GOOD.encode() + b"#", size, b"x")),
+    "report": (parse_report, lambda size: _padded(write_report(_minimal_doc()), size, b" ")),
+}
+
+
+@pytest.mark.parametrize("decode", [False, True], ids=["bytes", "str"])
+@pytest.mark.parametrize("name", list(_AT_CAP))
+def test_parsers_take_input_up_to_the_cap(name, decode):
+    parse, padded = _AT_CAP[name]
+    at_cap = padded(MAX_INPUT_BYTES)
+    assert len(at_cap) == MAX_INPUT_BYTES
+    parse(at_cap.decode() if decode else at_cap)
+    over = padded(MAX_INPUT_BYTES + 1)
+    with pytest.raises(ParseError) as info:
+        parse(over.decode() if decode else over)
+    assert info.value.kind is ParseErrorKind.INPUT_TOO_LARGE
+    assert str(info.value).endswith(f"input is longer than {MAX_INPUT_BYTES} bytes")
+
+
+def test_oversized_input_is_refused_before_it_is_decoded():
+    # invalid UTF-8 and no header: only the size is looked at
+    with pytest.raises(ParseError) as info:
+        parse_counts(b"\xff" * (MAX_INPUT_BYTES + 1), source="big.csv")
+    assert str(info.value) == f"line 1: big.csv: input is longer than {MAX_INPUT_BYTES} bytes"
+    with pytest.raises(ParseError) as info:
+        parse_report(b"\xff" * (MAX_INPUT_BYTES + 1))
+    assert info.value.kind is ParseErrorKind.INPUT_TOO_LARGE
 
 
 def test_parse_report_rejects_invalid_utf8():
@@ -936,7 +974,10 @@ def test_parse_counts_digest():
             outcomes.add(e.kind.value)
         h.update(record.encode())
         h.update(b"\n")
-    assert outcomes == {"ok"} | {kind.value for kind in ParseErrorKind} - {"bad-document"}
+    # the corpus holds no report and nothing near the input cap
+    assert outcomes == {"ok"} | {kind.value for kind in ParseErrorKind} - {
+        "bad-document", "input-too-large"
+    }
     assert h.hexdigest() == COUNTS_DIGEST
 
 

@@ -8,16 +8,25 @@ Context labels are S, S1, S2, S1p, S2p; values are non-negative integers
 below 2**63 (at most 19 digits) with successes <= trials and trials >= 1;
 rows may appear in any order but labels must be unique and S, S1p, S2p
 must be present.  UTF-8 with LF or CRLF line endings; blank lines and lines
-starting with ``#`` are ignored.
+starting with ``#`` are ignored.  A count file or report longer than
+``MAX_INPUT_BYTES`` (1 MiB) is refused before it is decoded.
 
 Reports serialize to a canonical JSON document: fixed key order, real
 numbers rendered with 17 significant digits (enough to round-trip doubles
 exactly), newline-terminated.  ``parse_report(write_report(doc))`` always
 returns a document equal to ``doc``: the document types refuse every value
-the writer could not write back, such as NaN, infinities and fractional counts.
-A report's wave is the :class:`~ctxprob.amplitudes.ComplexAmplitude` or
+the writer could not write back, such as NaN, infinities, fractional counts,
+a ``generator_name`` that is not a string and a record of a foreign type.  A
+hyperbolic ``sign`` is kept as the int +1 or -1, and the reader takes only a
+JSON integer for it.  A report's wave is the
+:class:`~ctxprob.amplitudes.ComplexAmplitude` or
 :class:`~ctxprob.amplitudes.SplitComplexAmplitude` that
 :func:`~ctxprob.amplitudes.wave_from_analysis` returns.
+
+The nested records' schema is written once, in ``_FIELDS`` below: the JSON
+reader of each field the record types declare, and whether it may be null.
+The writer writes a record as its fields in declaration order, and the reader
+checks each object's keys against the same fields.
 """
 
 from __future__ import annotations
@@ -157,10 +166,8 @@ class ParseErrorKind(enum.Enum):
 
 def _check_size(data: bytes | str, source: str) -> None:
     if len(data) > MAX_INPUT_BYTES:
-        raise ParseError(
-            f"{source}: input is longer than {MAX_INPUT_BYTES} bytes", line=1,
-            kind=ParseErrorKind.INPUT_TOO_LARGE,
-        )
+        raise ParseError(f"{source}: input is longer than {MAX_INPUT_BYTES} bytes", line=1,
+                         kind=ParseErrorKind.INPUT_TOO_LARGE)
 
 
 @dataclass(frozen=True)
@@ -536,10 +543,8 @@ def _or_null(read, value, name: str):
     return None if value is None else read(value, name, " or null")
 
 
-# The report schema: each field that a record type declares, with the reader of
-# its JSON value and whether it may be null.  write_report writes a record as its
-# fields in declaration order, after a regime's "kind" or additivity_check's
-# "present"; parse_report checks each object's keys against the same fields.
+# The report schema (see the module docstring).  A regime's object leads with
+# its "kind", additivity_check's with "present".
 _FIELDS = {
     "p_hat": (_read_real, False), "successes": (_read_int, True),  # ContextSummary
     "trials": (_read_int, True), "interval": (_read_pair, True),

@@ -409,6 +409,7 @@ class ReportDocument:
     def __post_init__(self) -> None:
         if self.schema_version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {self.schema_version!r}")
+        object.__setattr__(self, "schema_version", SCHEMA_VERSION)
         object.__setattr__(self, "inputs", _by_label(self.inputs, "summaries"))
         for label, summary in self.inputs.items():
             if type(summary) is not ContextSummary:
@@ -447,27 +448,28 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def _render(node, pad: str) -> str:
-    if isinstance(node, float):
+    kind = type(node)  # the document types keep each value as its exact type
+    if kind is float:
         if not math.isfinite(node):
             raise ValueError(f"cannot serialize non-finite number {node!r}")
         return f"{node:.17g}"
-    if isinstance(node, str):
-        return _quote(node)
-    if isinstance(node, dict):
+    if kind is dict:
         inner = pad + "  "
         members = [f"{inner}{_quote(k)}: {_render(v, inner)}" for k, v in node.items()]
         return "{\n" + ",\n".join(members) + "\n" + pad + "}"
-    if isinstance(node, (list, tuple)):
-        return "[" + ", ".join([_render(v, pad) for v in node]) + "]"
-    if isinstance(node, bool):
-        return "true" if node else "false"
-    if isinstance(node, int):
+    if kind is int:
         return str(node)
+    if kind is str:
+        return _quote(node)
+    if kind is tuple:
+        return "[" + ", ".join([_render(v, pad) for v in node]) + "]"
     if node is None:
         return "null"
-    if isinstance(node, DegenerateReason):
+    if kind is bool:
+        return "true" if node else "false"
+    if kind is DegenerateReason:
         return _quote(node.value)
-    raise TypeError(f"cannot serialize {type(node).__name__}")
+    raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def write_report(doc: ReportDocument) -> bytes:

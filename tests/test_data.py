@@ -219,6 +219,7 @@ class TestReportDocument:
 
         plain = _minimal_doc()
         subclassed = _minimal_doc(
+            schema_version=Name(SCHEMA_VERSION),
             inputs={**plain.inputs, "S": ContextSummary(0.9, Real(9.0), Real(10.0), (0.6, 1.0))},
             reproducibility=Reproducibility(42.0, Real(1000.0), Name("philox4x64-seedseq-v1")),
         )
@@ -227,6 +228,7 @@ class TestReportDocument:
         summary, repro = subclassed.inputs["S"], subclassed.reproducibility
         assert [type(n) for n in (summary.successes, summary.trials)] == [int, int]
         assert [type(n) for n in (repro.seed, repro.replicates)] == [int, int]
+        assert [type(s) for s in (subclassed.schema_version, repro.generator_name)] == [str, str]
         # real fields are kept as the float they check as, consistent as a bool
         ints = _minimal_doc(
             inputs={**plain.inputs, "S2p": ContextSummary(True, interval=(True, True))},

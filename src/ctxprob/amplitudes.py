@@ -19,7 +19,6 @@ from typing import ClassVar, Union
 
 from .calculus import (
     ROUND_OFF,
-    Degenerate,
     Hyperbolic,
     Probability,
     TransitionAnalysis,
@@ -128,6 +127,4 @@ def wave_from_analysis(
         return trig_wave(p1_prime, p2_prime, regime.theta)
     if isinstance(regime, Hyperbolic):
         return hyper_wave(p1_prime, p2_prime, regime.theta, regime.sign)
-    if isinstance(regime, Degenerate):
-        raise DegenerateRegime(f"no wave exists for a degenerate analysis ({regime.reason.value})")
-    raise TypeError(f"unknown regime type: {regime!r}")
+    raise DegenerateRegime(f"no wave exists for a degenerate analysis ({regime.reason.value})")

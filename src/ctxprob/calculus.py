@@ -181,7 +181,11 @@ Regime = Union[Trigonometric, Hyperbolic, Degenerate]
 class TransitionAnalysis:
     """Perturbation, normalized coefficient and regime of one transition.
 
-    ``lam`` is None exactly when ``regime`` is :class:`Degenerate`.
+    The one gate for a transition; it refuses (``ValueError``) a regime that
+    is not exactly a :class:`Trigonometric`, :class:`Hyperbolic` or
+    :class:`Degenerate`, a NaN or infinite ``delta`` or ``lam``, a ``lam``
+    that is not None exactly for a non-degenerate regime, and a phase that
+    does not give ``lam`` back (within ``ROUND_OFF``, relative if hyperbolic).
     """
 
     delta: float
@@ -189,15 +193,18 @@ class TransitionAnalysis:
     regime: Regime
 
     def __post_init__(self) -> None:
-        degenerate = isinstance(self.regime, Degenerate)
-        if degenerate != (self.lam is None):
+        regime, lam, kind = self.regime, self.lam, type(self.regime)
+        if kind is not Trigonometric and kind is not Hyperbolic and kind is not Degenerate:
+            raise ValueError(f"unknown regime type {regime!r}")
+        if not (math.isfinite(self.delta) and (lam is None or math.isfinite(lam))):
+            raise ValueError(f"delta and lam must be finite, got {self.delta!r} and {lam!r}")
+        if (kind is Degenerate) != (lam is None):
             raise ValueError("lam must be None exactly for a degenerate regime")
-        if isinstance(self.regime, Trigonometric):
-            if abs(math.cos(self.regime.theta) - self.lam) > ROUND_OFF:
+        if kind is Trigonometric:  # "not <=", so that no NaN passes
+            if not abs(math.cos(regime.theta) - lam) <= ROUND_OFF:
                 raise ValueError("trigonometric phase does not match lam")
-        elif isinstance(self.regime, Hyperbolic):
-            gap = abs(self.regime.sign * math.cosh(self.regime.theta) - self.lam)
-            if gap > ROUND_OFF * abs(self.lam):
+        elif kind is Hyperbolic:
+            if not abs(regime.sign * math.cosh(regime.theta) - lam) <= ROUND_OFF * abs(lam):
                 raise ValueError("hyperbolic phase does not match lam")
 
 

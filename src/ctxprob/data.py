@@ -383,12 +383,10 @@ class Reproducibility:
 
 
 # The types each record field of a report takes, exactly: those write_report can write.
-_DOCUMENT_RECORDS = {
-    "regime": (Trigonometric, Hyperbolic, Degenerate),
-    "additivity": (AdditivityCheck, type(None)),
-    "wave": (ComplexAmplitude, SplitComplexAmplitude, type(None)),
-    "reproducibility": (Reproducibility,),
-}
+# TransitionAnalysis checks the regime, and the regime's type gives the wave's.
+_DOCUMENT_RECORDS = {"additivity": (AdditivityCheck, type(None)),
+                     "reproducibility": (Reproducibility,)}
+_WAVES = {Trigonometric: ComplexAmplitude, Hyperbolic: SplitComplexAmplitude, Degenerate: None}
 
 
 @dataclass(frozen=True)
@@ -422,19 +420,13 @@ class ReportDocument:
         interval = self.lambda_interval
         if interval is not None and not -math.inf < interval[0] <= interval[1] < math.inf:
             raise ValueError(f"lambda_interval must satisfy lo <= hi, finite, got {interval!r}")
-        if not (math.isfinite(self.delta) and (self.lam is None or math.isfinite(self.lam))):
-            raise ValueError(f"delta and lam must be finite, got {self.delta!r} and {self.lam!r}")
-        TransitionAnalysis(self.delta, self.lam, self.regime)  # ties regime to lam
+        TransitionAnalysis(self.delta, self.lam, self.regime)  # the regime, delta and lam rules
         if self.wave is not None:
-            if isinstance(self.regime, Degenerate):
-                raise ValueError(f"wave must be null for a degenerate regime, got {self.wave.kind!r}")
-            trigonometric = isinstance(self.regime, Trigonometric)
-            kind = (ComplexAmplitude if trigonometric else SplitComplexAmplitude).kind
-            if self.wave.kind != kind:
-                raise ValueError(
-                    f"wave kind must be {kind!r} for a {self.regime.kind} regime, "
-                    f"got {self.wave.kind!r}"
-                )
+            wave_type = _WAVES[type(self.regime)]
+            if type(self.wave) is not wave_type:
+                allowed = "null" if wave_type is None else f"null or a {wave_type.kind!r} wave"
+                raise ValueError(f"wave must be {allowed} for a {self.regime.kind} regime, "
+                                 f"got {self.wave!r}")
             if not all(map(math.isfinite, self.wave.components)):
                 raise ValueError(f"wave components must be finite, got {self.wave.components!r}")
         for name in ("delta", "lam", "regime_stability"):

@@ -11,6 +11,7 @@ from ctxprob.calculus import (
     DegenerateReason,
     Hyperbolic,
     Probability,
+    TransitionAnalysis,
     Trigonometric,
     analyze,
     classify,
@@ -275,6 +276,31 @@ class TestAnalyze:
         p_s = reconstruct_probability(a, b, lam)
         recovered = lambda_coefficient(delta_from_reference(p_s, a, b), a, b)
         assert recovered == pytest.approx(lam, abs=1e-12)
+
+
+class _TrigonometricSubclass(Trigonometric):
+    pass
+
+
+class TestTransitionAnalysis:
+    @pytest.mark.parametrize(
+        "build,fragment",
+        [
+            pytest.param(lambda: TransitionAnalysis(math.nan, math.nan, Trigonometric(1.0)),
+                         "delta and lam must be finite", id="nan-trigonometric"),
+            pytest.param(lambda: TransitionAnalysis(0.1, math.nan, Hyperbolic(1, 2.0)),
+                         "delta and lam must be finite", id="nan-lam-hyperbolic"),
+            pytest.param(lambda: TransitionAnalysis(math.inf, 0.5, classify(0.5)),
+                         "delta and lam must be finite", id="inf-delta"),
+            pytest.param(lambda: TransitionAnalysis(0.1, 0.5, None), "unknown regime type",
+                         id="regime-none"),
+            pytest.param(lambda: TransitionAnalysis(0.1, math.cos(1.0), _TrigonometricSubclass(1.0)),
+                         "unknown regime type", id="regime-subclass"),
+        ],
+    )
+    def test_refuses_what_analyze_cannot_return(self, build, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            build()
 
 
 class TestCorrespondenceScan:

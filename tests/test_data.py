@@ -468,7 +468,7 @@ OUT_OF_RANGE = [
      {"present": True, "z_statistic": 50.0, "consistent": True},
      "consistent must equal |z_statistic| <= 3"),
     ("wave-kind-regime", ("wave", "kind"), "complex",
-     "wave kind must be 'split-complex' for a hyperbolic regime"),
+     "wave must be null or a 'split-complex' wave for a hyperbolic regime"),
     ("wave-degenerate", (), _degenerate_tree_with_wave(), "wave must be null for a degenerate regime"),
     ("wave-kind-list", ("wave", "kind"), ["complex"],
      "wave kind must be 'complex' or 'split-complex', got ['complex']"),
@@ -511,9 +511,10 @@ def test_parse_report_refuses_out_of_range_values(path, value, fragment):
         pytest.param(lambda: ContextSummary(0.9, 1, 10), "p_hat must equal", id="p_hat-counts"),
         pytest.param(lambda: AdditivityCheck(50.0, True), "consistent", id="inconsistent-z"),
         pytest.param(lambda: AdditivityCheck(-1.0, False), "consistent", id="consistent-z"),
-        pytest.param(lambda: _minimal_doc(wave=WaveSummary("complex", (1.0, 0.0))), "wave kind",
-                     id="complex-wave-hyperbolic"),
-        pytest.param(lambda: _minimal_doc(lam=0.5, regime=classify(0.5)), "wave kind",
+        pytest.param(lambda: _minimal_doc(wave=WaveSummary("complex", (1.0, 0.0))),
+                     "null or a 'split-complex' wave for a hyperbolic", id="complex-wave-hyperbolic"),
+        pytest.param(lambda: _minimal_doc(lam=0.5, regime=classify(0.5)),
+                     "null or a 'complex' wave for a trigonometric",
                      id="split-complex-wave-trigonometric"),
         pytest.param(lambda: _minimal_doc(lam=None, regime=Degenerate(DegenerateReason.P1_PRIME_ZERO)),
                      "wave must be null", id="wave-degenerate"),
@@ -545,7 +546,9 @@ def test_parse_report_refuses_out_of_range_values(path, value, fragment):
                      "unknown inputs.S type", id="summary-foreign"),
         pytest.param(lambda: _minimal_doc(additivity=1.5), "unknown additivity type",
                      id="additivity-foreign"),
-        pytest.param(lambda: _minimal_doc(wave=(1.42, 1.06)), "unknown wave type", id="wave-foreign"),
+        pytest.param(lambda: _minimal_doc(wave=(1.42, 1.06)),
+                     r"wave must be null or a 'split-complex' wave .*, got \(1.42, 1.06\)",
+                     id="wave-foreign"),
         pytest.param(lambda: _minimal_doc(reproducibility={"seed": 42}), "unknown reproducibility type",
                      id="reproducibility-foreign"),
     ],

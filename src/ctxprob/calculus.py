@@ -181,11 +181,11 @@ Regime = Union[Trigonometric, Hyperbolic, Degenerate]
 class TransitionAnalysis:
     """Perturbation, normalized coefficient and regime of one transition.
 
-    The one gate for a transition; it refuses (``ValueError``) a regime that
-    is not exactly a :class:`Trigonometric`, :class:`Hyperbolic` or
+    The one gate for a transition, where ``lam`` is None exactly for a
+    :class:`Degenerate` regime.  It refuses (``ValueError``) a regime that is
+    not exactly a :class:`Trigonometric`, :class:`Hyperbolic` or
     :class:`Degenerate`, a NaN or infinite ``delta`` or ``lam``, a ``lam``
-    that is not None exactly for a non-degenerate regime, and a phase that
-    does not give ``lam`` back (within ``ROUND_OFF``, relative if hyperbolic).
+    against that rule, and a phase that does not give ``lam`` back.
     """
 
     delta: float

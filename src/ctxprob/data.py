@@ -18,10 +18,12 @@ returns a document equal to ``doc``: the document types refuse every value
 the writer could not write back, such as NaN, infinities, fractional counts,
 a ``generator_name`` that is not a string and a record of a foreign type.  A
 hyperbolic ``sign`` is kept as the int +1 or -1, and the reader takes only a
-JSON integer for it.  A report's wave is the
-:class:`~ctxprob.amplitudes.ComplexAmplitude` or
+JSON integer for it.  The rules for ``delta``, ``lam`` and the regime are
+:class:`~ctxprob.calculus.TransitionAnalysis`'s, which a document builds.  A
+report's wave is the :class:`~ctxprob.amplitudes.ComplexAmplitude` or
 :class:`~ctxprob.amplitudes.SplitComplexAmplitude` that
-:func:`~ctxprob.amplitudes.wave_from_analysis` returns.
+:func:`~ctxprob.amplitudes.wave_from_analysis` returns, so its type follows
+the regime's (``_WAVES``); a degenerate regime has none, and any wave may be null.
 
 The nested records' schema is written once, in ``_FIELDS`` below: the JSON
 reader of each field the record types declare, and whether it may be null.

@@ -5,10 +5,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctxprob.calculus import Degenerate, Hyperbolic, Trigonometric
+from ctxprob.calculus import ContextTriple, Degenerate, Hyperbolic, Trigonometric, analyze
 from ctxprob.data import (
     CONTEXT_LABELS, CountRow, CountTable, context_probabilities, parse_counts, write_counts,
 )
@@ -186,6 +186,29 @@ class TestSampleCounts:
             assert abs(table.proportion(label) - float(p)) <= bound
 
 
+def _same_class(regime, point) -> bool:
+    """Whether a replicate's regime is the point's class: its type, and its sign if hyperbolic."""
+    return type(regime) is type(point) and getattr(regime, "sign", 0) == getattr(point, "sign", 0)
+
+
+@st.composite
+def _bootstrap_cases(draw):
+    """A 3- or 5-context table with small and huge trials and zero and full proportions,
+    and a replicate count, confidence and seed for it."""
+    labels = draw(st.sampled_from([("S", "S1p", "S2p"), CONTEXT_LABELS]))
+    rows = []
+    for label in labels:
+        trials = draw(st.integers(1, 8) | st.integers(1, 1000) | st.integers(1, 2**62))
+        successes = draw(st.just(0) | st.just(trials) | st.integers(0, trials))
+        rows.append(CountRow(label, successes, trials))
+    return (
+        CountTable(tuple(rows)),
+        draw(st.sampled_from([1, 2, 17, 200])),
+        draw(st.sampled_from([0.5, 0.9, 0.95, 0.99])),
+        draw(st.integers(0, 2**64 - 1)),
+    )
+
+
 class TestEstimate:
     def test_exact_ratio_point_estimates(self):
         table = _table(("S", 744949, 10**6), ("S1p", 300000, 10**6), ("S2p", 200000, 10**6))
@@ -296,6 +319,34 @@ class TestEstimate:
             if lo <= 0.5 <= hi:
                 hits += 1
         assert hits >= 90
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_bootstrap_cases())
+    # hyperbolic points whose replicates often land on lambda = +1 or -1 exactly
+    @example(case=(_table(("S", 8, 8), ("S1p", 1, 8), ("S2p", 1, 8)), 200, 0.95, 0))
+    @example(case=(_table(("S", 0, 8), ("S1p", 1, 8), ("S2p", 2, 8)), 200, 0.95, 0))
+    def test_every_replicate_agrees_with_analyze(self, case):
+        # Redraw the replicates from each context's bootstrap stream, analyze each
+        # one's proportions, and rebuild the stability and the interval from those.
+        table, r, confidence, seed = case
+        report = estimate(table, r, confidence, seed)
+        stream = simulation._seed_streams(seed)
+        boot = {}
+        for row in table.rows:
+            rng = stream(simulation._BOOTSTRAP_STREAM_BASE + simulation._STREAM_ID[row.label])
+            draws = rng.binomial(row.trials, row.proportion, size=r)
+            boot[row.label] = np.divide(draws, row.trials, out=np.empty(r)).tolist()
+        analyses = [analyze(ContextTriple(*p)) for p in zip(boot["S"], boot["S1p"], boot["S2p"])]
+        point = report.point.regime
+        matches = sum(_same_class(a.regime, point) for a in analyses)
+        assert report.regime_stability.hex() == (matches / r).hex()
+        lams = sorted(a.lam for a in analyses if a.lam is not None)
+        if report.point.lam is None or not lams:
+            assert report.lambda_interval is None
+        else:
+            q_lo = (1.0 - confidence) / 2.0  # as estimate takes it; a literal 0.025 differs
+            want = np.quantile(lams, (q_lo, 1.0 - q_lo)).tolist()
+            assert [x.hex() for x in report.lambda_interval] == [x.hex() for x in want]
 
 
 class TestStreamLayout:

@@ -15,9 +15,8 @@ _EXPORTS = {
     "calculus": (
         "ROUND_OFF", "ContextTriple", "CorrespondencePoint", "Degenerate",
         "DegenerateReason", "Hyperbolic", "Probability", "Regime", "TransitionAnalysis",
-        "Trigonometric", "analyze", "classify", "correspondence_scan",
-        "delta_componentwise", "delta_from_reference", "lambda_coefficient",
-        "lambda_range", "reconstruct_probability",
+        "Trigonometric", "analyze", "classify", "correspondence_scan", "lambda_range",
+        "reconstruct_probability",
     ),
     "amplitudes": (
         "ComplexAmplitude", "SplitComplexAmplitude", "hyper_wave", "trig_wave",

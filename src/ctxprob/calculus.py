@@ -214,52 +214,39 @@ class CorrespondencePoint(NamedTuple):
     lam: float | None
 
 
-def delta_componentwise(p1, p2, p1_prime, p2_prime) -> float:
-    """Perturbation from per-subcontext probability differences.
+# The transition rule, written once: analyze takes it on floats with the math
+# functions, and simulation.estimate on replicate arrays with numpy's passed in.
 
-    Returns ``(p1 - p1_prime) + (p2 - p2_prime)``, always in [-2, 2].
+def _normalizer(a, b, sqrt=math.sqrt):
+    """``2*sqrt(a*b)``, lambda's normalizer for the reference pair (a, b).
+
+    Zero (a zero probability or an underflowing product) leaves lambda undefined.
     """
-    a1 = Probability(p1, "p1")
-    a2 = Probability(p2, "p2")
-    b1 = Probability(p1_prime, "p1_prime")
-    b2 = Probability(p2_prime, "p2_prime")
-    return (a1 - b1) + (a2 - b2)
+    return 2.0 * sqrt(a * b)
 
 
-def delta_from_reference(p_s, p1_prime, p2_prime) -> float:
-    """Perturbation solved from the transformed additivity relation.
+def _delta_and_normalizer(p_s, a, b, sqrt=math.sqrt):
+    """``delta = p_s - a - b`` and its normalizer: lambda is their ratio where that is not zero."""
+    return p_s - a - b, _normalizer(a, b, sqrt)
 
-    Returns ``p_s - p1_prime - p2_prime``; agrees with
-    :func:`delta_componentwise` whenever ``p_s`` equals ``p1 + p2``.
+
+def _same_regime(regime, lam):
+    """Whether ``lam`` falls in ``regime``'s class: ``|lam| <= 1``, ``sign * lam > 1`` or NaN.
+
+    ``lam`` is a float or an array, NaN where lambda is undefined; the
+    boundary ``|lam| = 1`` is trigonometric.  ``regime`` may also be the
+    :class:`Trigonometric` class itself.
     """
-    p_s = Probability(p_s, "p_s")
-    return p_s - Probability(p1_prime, "p1_prime") - Probability(p2_prime, "p2_prime")
+    if regime.kind == "trigonometric":
+        return abs(lam) <= 1.0
+    if regime.kind == "hyperbolic":
+        return regime.sign * lam > 1.0
+    return lam != lam
 
 
-def _denominator(a: float, b: float, undefined: str = "lambda") -> float:
-    """Return ``2*sqrt(a*b)``, the normalizer of lambda for the pair (a, b).
-
-    A zero value (a zero probability or an underflowing product) raises
-    :class:`DegenerateDenominator`, naming what is ``undefined``.
-    """
-    denom = 2.0 * math.sqrt(a * b)
-    if denom == 0.0:
-        raise DegenerateDenominator(
-            f"{undefined} is undefined: the product of reference probabilities is numerically zero"
-        )
-    return denom
-
-
-def lambda_coefficient(delta: float, p1_prime, p2_prime) -> float:
-    """Normalize ``delta`` by twice the geometric mean of the reference pair.
-
-    Raises :class:`DegenerateDenominator` when either reference probability
-    is zero, signalling that the analysis must report a degenerate regime.
-    """
-    d = float(delta)
-    if not math.isfinite(d):
-        raise NonFinite(f"delta must be finite, got {delta!r}")
-    return d / _denominator(Probability(p1_prime, "p1_prime"), Probability(p2_prime, "p2_prime"))
+def _phase(regime, lam, acos=math.acos, acosh=math.acosh):
+    """The phase of a ``lam`` in the class of a trigonometric or hyperbolic ``regime``."""
+    return acos(lam) if regime.kind == "trigonometric" else acosh(abs(lam))
 
 
 def classify(lam: float) -> Regime:
@@ -273,9 +260,9 @@ def classify(lam: float) -> Regime:
     x = float(lam)
     if not math.isfinite(x):
         raise NonFinite(f"lambda must be finite, got {lam!r}")
-    if abs(x) <= 1.0:
-        return Trigonometric(theta=math.acos(x))
-    return Hyperbolic(sign=1 if x > 0.0 else -1, theta=math.acosh(abs(x)))
+    if _same_regime(Trigonometric, x):
+        return Trigonometric(theta=_phase(Trigonometric, x))
+    return Hyperbolic(sign=1 if x > 0.0 else -1, theta=_phase(Hyperbolic, x))
 
 
 def reconstruct_probability(p1_prime, p2_prime, lam: float) -> Probability:
@@ -291,7 +278,7 @@ def reconstruct_probability(p1_prime, p2_prime, lam: float) -> Probability:
     if not math.isfinite(x):
         raise NonFinite(f"lambda must be finite, got {lam!r}")
     # A zero or underflowing product leaves a + b: 0.0 * x is a signed zero for finite x.
-    value = a + b + 2.0 * math.sqrt(a * b) * x
+    value = a + b + _normalizer(a, b) * x
     if value < -ROUND_OFF or value > 1.0 + ROUND_OFF:
         raise InadmissibleLambda(
             f"lambda={x!r} maps ({float(a)!r}, {float(b)!r}) to {value!r}, outside [0, 1]"
@@ -311,7 +298,10 @@ def lambda_range(p1_prime, p2_prime) -> tuple[float, float]:
     """
     a = Probability(p1_prime, "p1_prime")
     b = Probability(p2_prime, "p2_prime")
-    denom = _denominator(a, b, "admissible range")
+    denom = _normalizer(a, b)
+    if denom == 0.0:
+        raise DegenerateDenominator("admissible range is undefined: "
+                                    "the product of reference probabilities is numerically zero")
     return (-(a + b) / denom, (1.0 - a - b) / denom)
 
 
@@ -324,10 +314,8 @@ def analyze(triple: ContextTriple) -> TransitionAnalysis:
     """
     a = triple.p1_prime
     b = triple.p2_prime
-    delta = triple.p_s - a - b
-    try:
-        lam = delta / _denominator(a, b)
-    except DegenerateDenominator:
+    delta, denom = _delta_and_normalizer(triple.p_s, a, b)
+    if denom == 0.0:
         if a == 0.0 and b == 0.0:
             reason = DegenerateReason.BOTH_PRIMES_ZERO
         elif a == 0.0:
@@ -337,6 +325,7 @@ def analyze(triple: ContextTriple) -> TransitionAnalysis:
         else:
             reason = DegenerateReason.PRODUCT_UNDERFLOW
         return TransitionAnalysis(delta=delta, lam=None, regime=Degenerate(reason))
+    lam = delta / denom
     return TransitionAnalysis(delta=delta, lam=lam, regime=classify(lam))
 
 

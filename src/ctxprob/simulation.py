@@ -40,7 +40,9 @@ from .calculus import (
     Hyperbolic,
     Probability,
     TransitionAnalysis,
-    Trigonometric,
+    _delta_and_normalizer,
+    _phase,
+    _same_regime,
     analyze,
 )
 from .data import _INTEGER_BOUND, CONTEXT_LABELS, CountRow, CountTable, _whole, context_probabilities
@@ -122,12 +124,12 @@ def HyperbolicUrnScenario(p1: float, p2: float, p1_prime: float, p2_prime: float
     if p_s > 1.0 + ROUND_OFF:
         raise InvalidScenario(f"p1 + p2 = {p_s!r} exceeds 1")
     truth = ContextTriple(p_s, p1_prime, p2_prime, p1, p2)
-    lam = analyze(truth).lam
-    if lam is None:
+    point = analyze(truth)
+    if point.lam is None:
         raise InvalidScenario("post-transition probabilities must be positive")
-    if abs(lam) <= 1.0:
+    if type(point.regime) is not Hyperbolic:
         raise InvalidScenario(
-            f"parameters give |lambda| = {abs(lam)!r} <= 1: not a hyperbolic transition"
+            f"parameters give |lambda| = {abs(point.lam)!r} <= 1: not a hyperbolic transition"
         )
     return truth
 
@@ -219,7 +221,8 @@ def estimate(
     successes are redrawn from Binomial(trials, p_hat) on its own bootstrap
     stream of ``seed``, id 16 plus its sampling stream id, so its replicates
     depend on its own row alone.  The coefficient is recomputed per
-    replicate, and intervals are Hyndman-Fan type 7 percentiles (numpy's
+    replicate by the transition kernel that :func:`~ctxprob.calculus.analyze`
+    runs, and intervals are Hyndman-Fan type 7 percentiles (numpy's
     default ``linear``) of the sorted replicates.  A zero post-transition
     proportion is flagged as a degenerate point regime, never raised;
     replicates with a degenerate denominator carry no coefficient and are
@@ -248,8 +251,7 @@ def estimate(
             rng = stream(_BOOTSTRAP_STREAM_BASE + _STREAM_ID[row.label])
             np.divide(rng.binomial(row.trials, p_hat[row.label], size=r), row.trials, out=proportions)
         boot = dict(zip(labels, replicate_matrix))
-        delta_b = boot["S"] - boot["S1p"] - boot["S2p"]
-        denom = 2.0 * np.sqrt(boot["S1p"] * boot["S2p"])
+        delta_b, denom = _delta_and_normalizer(boot["S"], boot["S1p"], boot["S2p"], np.sqrt)
         ok = denom > 0.0
         lam_b = np.divide(delta_b, denom, out=np.full(r, np.nan), where=ok)
 
@@ -259,13 +261,7 @@ def estimate(
             label: (lo, hi) for label, lo, hi in zip(labels, lows.tolist(), highs.tolist())
         }
 
-        regime = point.regime
-        if isinstance(regime, Trigonometric):
-            same_regime = np.abs(lam_b) <= 1.0
-        elif isinstance(regime, Hyperbolic):
-            same_regime = regime.sign * lam_b > 1.0
-        else:
-            same_regime = np.isnan(lam_b)
+        same_regime = _same_regime(point.regime, lam_b)
         regime_stability = float(np.count_nonzero(same_regime)) / r
 
         if point.lam is not None and bool(ok.any()):
@@ -277,12 +273,8 @@ def estimate(
         if point.lam is not None:
             match = lam_b[same_regime]
             if match.size >= 2:
-                # the same-regime mask keeps |match| <= 1 (trigonometric) or > 1 (hyperbolic)
-                if isinstance(regime, Trigonometric):
-                    thetas = np.arccos(match)
-                else:
-                    thetas = np.arccosh(np.abs(match))
-                theta_std = _sample_std(thetas)
+                # numpy's phases, not math's: theta_std is hashed, and the two need not agree
+                theta_std = _sample_std(_phase(point.regime, match, np.arccos, np.arccosh))
 
     return EstimationReport(
         point=point,

@@ -16,9 +16,8 @@ from ctxprob.calculus import (
     ContextTriple,
     Hyperbolic,
     Trigonometric,
+    analyze,
     correspondence_scan,
-    delta_from_reference,
-    lambda_coefficient,
     lambda_range,
     reconstruct_probability,
 )
@@ -57,7 +56,7 @@ def test_criterion_1_round_trip_identity():
         lo, hi = lambda_range(a, b)
         lam = rng.uniform(lo, hi)
         p_s = reconstruct_probability(a, b, lam)
-        recovered = lambda_coefficient(delta_from_reference(p_s, a, b), a, b)
+        recovered = analyze(ContextTriple(p_s, a, b)).lam
         worst = max(worst, abs(recovered - lam))
     elapsed = time.perf_counter() - start
     _gate(1, f"round-trip lambda identity (worst |err| = {worst:.2e})",

@@ -16,9 +16,6 @@ from ctxprob.calculus import (
     analyze,
     classify,
     correspondence_scan,
-    delta_componentwise,
-    delta_from_reference,
-    lambda_coefficient,
     lambda_range,
     reconstruct_probability,
 )
@@ -84,19 +81,25 @@ class TestContextTriple:
 
 
 class TestDelta:
+    """delta as analyze computes it: p_s - p1' - p2', which is (p1 - p1') + (p2 - p2')
+    when the triple carries an additive pre-transition pair."""
+
     def test_componentwise_examples(self):
-        assert delta_componentwise(0.4, 0.5, 0.1, 0.1) == pytest.approx(0.7, abs=1e-12)
-        assert delta_componentwise(0.3, 0.2, 0.3, 0.2) == 0.0
-        assert delta_componentwise(0.0, 0.0, 0.5, 0.5) == -1.0
+        delta = analyze(ContextTriple(0.9, 0.1, 0.1, 0.4, 0.5)).delta
+        assert delta == pytest.approx(0.7, abs=1e-12)
+        assert analyze(ContextTriple(0.5, 0.3, 0.2, 0.3, 0.2)).delta == 0.0
+        assert analyze(ContextTriple(0.0, 0.5, 0.5, 0.0, 0.0)).delta == -1.0
 
     def test_reference_examples(self):
-        assert delta_from_reference(0.9, 0.1, 0.1) == pytest.approx(0.7, abs=1e-12)
-        assert delta_from_reference(0.5, 0.3, 0.2) == 0.0
-        assert delta_from_reference(0.0, 0.5, 0.5) == -1.0
+        assert analyze(ContextTriple(0.9, 0.1, 0.1)).delta == pytest.approx(0.7, abs=1e-12)
+        assert analyze(ContextTriple(0.5, 0.3, 0.2)).delta == 0.0
+        assert analyze(ContextTriple(0.0, 0.5, 0.5)).delta == -1.0
 
     @given(p1=unit_floats, p2=unit_floats, a=unit_floats, b=unit_floats)
     def test_componentwise_stays_in_range(self, p1, p2, a, b):
-        assert -2.0 <= delta_componentwise(p1, p2, a, b) <= 2.0
+        if p1 + p2 > 1.0:
+            p1, p2 = p1 / 2.0, p2 / 2.0
+        assert -2.0 <= analyze(ContextTriple(p1 + p2, a, b, p1, p2)).delta <= 2.0
 
     @given(p1=unit_floats, p2=unit_floats, a=unit_floats, b=unit_floats)
     def test_forms_agree_on_additive_input(self, p1, p2, a, b):
@@ -104,26 +107,27 @@ class TestDelta:
         if p1 + p2 > 1.0:
             p1, p2 = p1 / 2.0, p2 / 2.0
         p_s = p1 + p2
-        assert delta_from_reference(p_s, a, b) == pytest.approx(
-            delta_componentwise(p1, p2, a, b), abs=1e-12
+        assert analyze(ContextTriple(p_s, a, b, p1, p2)).delta == pytest.approx(
+            (p1 - a) + (p2 - b), abs=1e-12
         )
 
 
 class TestLambdaCoefficient:
+    """lambda as analyze computes it: delta over twice the geometric mean of the reference pair."""
+
     def test_examples(self):
-        assert lambda_coefficient(0.7, 0.1, 0.1) == pytest.approx(3.5, abs=1e-12)
-        assert lambda_coefficient(0.0, 0.3, 0.2) == 0.0
-        assert lambda_coefficient(math.sqrt(0.06), 0.3, 0.2) == pytest.approx(0.5, abs=1e-12)
+        assert analyze(ContextTriple(0.9, 0.1, 0.1)).lam == pytest.approx(3.5, abs=1e-12)
+        assert analyze(ContextTriple(0.5, 0.3, 0.2)).lam == 0.0
+        lam = analyze(ContextTriple(0.5 + math.sqrt(0.06), 0.3, 0.2)).lam
+        assert lam == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_reference_degenerates(self):
+        assert analyze(ContextTriple(0.4, 0.0, 0.2)).lam is None
+        assert analyze(ContextTriple(0.4, 0.2, 0.0)).lam is None
         with pytest.raises(DegenerateDenominator):
-            lambda_coefficient(0.1, 0.0, 0.2)
+            lambda_range(0.0, 0.2)
         with pytest.raises(DegenerateDenominator):
-            lambda_coefficient(0.1, 0.2, 0.0)
-
-    def test_non_finite_delta_rejected(self):
-        with pytest.raises(NonFinite):
-            lambda_coefficient(float("nan"), 0.1, 0.1)
+            lambda_range(0.2, 0.0)
 
 
 class TestClassify:
@@ -267,14 +271,14 @@ class TestAnalyze:
         assert result.lam is None
         assert result.regime == Degenerate(reason=DegenerateReason.PRODUCT_UNDERFLOW)
         with pytest.raises(DegenerateDenominator):
-            lambda_coefficient(0.5, 5e-324, 5e-324)
+            lambda_range(5e-324, 5e-324)
 
     @given(a=positive_probs, b=positive_probs, u=unit_floats)
     def test_round_trip_recovers_lambda(self, a, b, u):
         lo, hi = lambda_range(a, b)
         lam = lo + u * (hi - lo)
         p_s = reconstruct_probability(a, b, lam)
-        recovered = lambda_coefficient(delta_from_reference(p_s, a, b), a, b)
+        recovered = analyze(ContextTriple(p_s, a, b)).lam
         assert recovered == pytest.approx(lam, abs=1e-12)
 
 

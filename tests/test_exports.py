@@ -1,4 +1,4 @@
-"""The package surface: 64 public names, each the object its home module defines.
+"""The package surface: 61 public names, each the object its home module defines.
 
 ``ctxprob`` lists every public name once and imports its home module on first
 use, so this pin is the check that nothing was dropped, added or rebound.
@@ -15,8 +15,7 @@ EXPORTS = {
     "calculus": [
         "ContextTriple", "CorrespondencePoint", "Degenerate", "DegenerateReason", "Hyperbolic",
         "Probability", "ROUND_OFF", "Regime", "TransitionAnalysis", "Trigonometric", "analyze",
-        "classify", "correspondence_scan", "delta_componentwise", "delta_from_reference",
-        "lambda_coefficient", "lambda_range", "reconstruct_probability",
+        "classify", "correspondence_scan", "lambda_range", "reconstruct_probability",
     ],
     "amplitudes": [
         "ComplexAmplitude", "SplitComplexAmplitude", "hyper_wave", "trig_wave",
@@ -44,7 +43,7 @@ HOMES = [(name, home) for home, names in EXPORTS.items() for name in names]
 
 
 def test_all_lists_the_pinned_names_once():
-    assert len(NAMES) == 64
+    assert len(NAMES) == 61
     assert sorted(ctxprob.__all__) == NAMES
 
 

@@ -6,9 +6,11 @@ sampling layer (``simulation``) or the command line (``cli``).  The check
 reads each module's source with :mod:`ast`, so it also catches imports
 placed inside functions.  The same ``ast`` walk checks that the 1e-12
 round-off slack is written once, as ``calculus.ROUND_OFF``, that the
-whole-number test ``x % 1`` is written once, in ``data._whole``, and that
-an analysis becomes a ``ReportDocument`` in one place, the report builders'
-shared assembly.
+whole-number test ``x % 1`` is written once, in ``data._whole``, that
+lambda's normalizer ``2.0 * sqrt(a * b)`` and its boundary test
+``abs(lam) <= 1.0`` are written once, in the transition kernel of
+``calculus``, and that an analysis becomes a ``ReportDocument`` in one place,
+the report builders' shared assembly.
 
 At run time, only sampling and the bootstrap load numpy: ``range``,
 ``sweep`` and direct-mode ``analyze`` run in a fresh interpreter without it.
@@ -26,7 +28,7 @@ from pathlib import Path
 import pytest
 
 import ctxprob
-from ctxprob import data, simulation
+from ctxprob import calculus, data, simulation
 
 PACKAGE_DIR = Path(ctxprob.__file__).parent
 LOWER_LAYERS = ("calculus", "amplitudes", "errors", "data")
@@ -135,14 +137,16 @@ def test_one_whole_number_check():
     assert round_trips == []
 
 
+def _is_call_to(node, name: str) -> bool:
+    """Whether ``node`` calls ``name(...)``, as a bare name or an attribute such as ``np.name``."""
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name
+    )
+
+
 def _calls_to(name: str, source: str) -> list[int]:
     """Lines that call ``name(...)``, as a bare name or an attribute."""
-    return [
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call)
-        and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
-    ]
+    return [node.lineno for node in ast.walk(ast.parse(source)) if _is_call_to(node, name)]
 
 
 @pytest.mark.parametrize("source", ["ReportDocument(1)", "data.ReportDocument(**f)"])
@@ -170,6 +174,49 @@ def test_one_report_assembly():
         (name, _inside(data._read_document if name == "data.py" else simulation._report, line))
         for name, line in places
     ] == [("data.py", True), ("simulation.py", True)], places
+
+
+def _rule_restatements(source: str) -> tuple[list[int], list[int]]:
+    """Lines of every ``2.0 * sqrt(x * y)`` and of every ``abs(x) <= 1.0``."""
+    normalizers, boundaries = [], []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and isinstance(node.left, ast.Constant) and node.left.value == 2.0
+                and _is_call_to(node.right, "sqrt") and len(node.right.args) == 1
+                and isinstance(node.right.args[0], ast.BinOp)
+                and isinstance(node.right.args[0].op, ast.Mult)):
+            normalizers.append(node.lineno)
+        if (isinstance(node, ast.Compare) and _is_call_to(node.left, "abs")
+                and isinstance(node.ops[0], ast.LtE) and isinstance(node.comparators[0], ast.Constant)
+                and node.comparators[0].value == 1.0):
+            boundaries.append(node.lineno)
+    return normalizers, boundaries
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("d = 2.0 * math.sqrt(a * b)", ([1], [])),
+        ("p = a + b + 2.0 * np.sqrt(x * y) * lam", ([1], [])),
+        ("if abs(lam) <= 1.0: pass", ([], [1])),
+        ("same = np.abs(lam_b) <= 1.0", ([], [1])),
+    ],
+)
+def test_detector_flags_each_rule_form(source, found):
+    assert _rule_restatements(source) == found
+
+
+def test_one_transition_rule():
+    """The normalizer and the boundary test are written once each, in calculus's kernel."""
+    normalizers, boundaries = [], []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        lines = _rule_restatements(path.read_text(encoding="utf-8"))
+        normalizers += [(path.name, line) for line in lines[0]]
+        boundaries += [(path.name, line) for line in lines[1]]
+    assert [name for name, _ in normalizers] == ["calculus.py"], normalizers
+    assert [name for name, _ in boundaries] == ["calculus.py"], boundaries
+    assert _inside(calculus._normalizer, normalizers[0][1])
+    assert _inside(calculus._same_regime, boundaries[0][1])
 
 
 # The closed-form subcommands never draw, so they must not pay for importing numpy.

@@ -216,7 +216,6 @@ class CorrespondencePoint(NamedTuple):
 
 # The transition rule, written once: analyze takes it on floats with the math
 # functions, and simulation.estimate on replicate arrays with numpy's passed in.
-
 def _normalizer(a, b, sqrt=math.sqrt):
     """``2*sqrt(a*b)``, lambda's normalizer for the reference pair (a, b).
 

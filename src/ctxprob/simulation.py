@@ -273,7 +273,8 @@ def estimate(
         if point.lam is not None:
             match = lam_b[same_regime]
             if match.size >= 2:
-                # numpy's phases, not math's: theta_std is hashed, and the two need not agree
+                # The mask keeps each value in its phase's domain.  numpy's phases, not
+                # math's: theta_std is hashed, and nothing makes the two agree bit for bit.
                 theta_std = _sample_std(_phase(point.regime, match, np.arccos, np.arccosh))
 
     return EstimationReport(

@@ -76,7 +76,7 @@ class Probability(float):
         return f"Probability({float(self)!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ContextTriple:
     """Probabilities of one event across the contexts of a single transition.
 
@@ -93,23 +93,22 @@ class ContextTriple:
     p1: Probability | None = None
     p2: Probability | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p_s", Probability(self.p_s))
-        object.__setattr__(self, "p1_prime", Probability(self.p1_prime))
-        object.__setattr__(self, "p2_prime", Probability(self.p2_prime))
-        if self.p1 is None and self.p2 is None:
-            return
-        if self.p1 is None or self.p2 is None:
+    def __init__(self, p_s, p1_prime, p2_prime, p1=None, p2=None) -> None:
+        p_s, p1_prime, p2_prime = Probability(p_s), Probability(p1_prime), Probability(p2_prime)
+        if (p1 is None) != (p2 is None):
             raise AdditivityViolation("p1 and p2 must be both present or both absent")
-        object.__setattr__(self, "p1", Probability(self.p1))
-        object.__setattr__(self, "p2", Probability(self.p2))
-        gap = abs(self.p_s - (self.p1 + self.p2))
-        if gap > _ADDITIVITY_TOL:
-            raise AdditivityViolation(
-                f"p_s={float(self.p_s)!r} deviates from p1+p2="
-                f"{self.p1 + self.p2!r} by {gap:.3e} "
-                f"(tolerance {_ADDITIVITY_TOL:.1e})"
-            )
+        if p1 is not None:
+            p1, p2 = Probability(p1), Probability(p2)
+            gap = abs(p_s - (p1 + p2))
+            if gap > _ADDITIVITY_TOL:
+                raise AdditivityViolation(
+                    f"p_s={float(p_s)!r} deviates from p1+p2="
+                    f"{p1 + p2!r} by {gap:.3e} "
+                    f"(tolerance {_ADDITIVITY_TOL:.1e})"
+                )
+        fields = self.__dict__  # each field stored once; the frozen __setattr__ refuses any more
+        fields["p_s"], fields["p1_prime"], fields["p2_prime"] = p_s, p1_prime, p2_prime
+        fields["p1"], fields["p2"] = p1, p2
 
 
 class DegenerateReason(enum.Enum):
@@ -121,25 +120,24 @@ class DegenerateReason(enum.Enum):
     PRODUCT_UNDERFLOW = "product-underflow"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Trigonometric:
     """``|lambda| <= 1``: the coefficient is cos(theta), theta in [0, pi]."""
 
     kind: ClassVar[str] = "trigonometric"
     theta: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.theta <= math.pi):
-            raise ValueError(f"trigonometric phase must lie in [0, pi], got {self.theta!r}")
-        if type(self.theta) is not float:  # kept as the float it checks as, which a report writes
-            object.__setattr__(self, "theta", float(self.theta))
+    def __init__(self, theta: float) -> None:
+        if not (0.0 <= theta <= math.pi):
+            raise ValueError(f"trigonometric phase must lie in [0, pi], got {theta!r}")
+        self.__dict__["theta"] = float(theta)  # the float it checks as, which a report writes
 
 
 # Largest hyperbolic phase, about 710.4759: its cosh is the largest finite float.
 _MAX_THETA = math.acosh(math.nextafter(math.inf, 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Hyperbolic:
     """``|lambda| > 1``: the coefficient is sign * cosh(theta), theta > 0.
 
@@ -152,32 +150,32 @@ class Hyperbolic:
     sign: int
     theta: float
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise ValueError(f"hyperbolic sign must be +1 or -1, got {self.sign!r}")
-        if not (0.0 < self.theta <= _MAX_THETA):
-            raise ValueError(f"hyperbolic phase must lie in (0, {_MAX_THETA!r}], got {self.theta!r}")
-        if type(self.sign) is not int or type(self.theta) is not float:  # as Trigonometric's theta
-            object.__setattr__(self, "sign", int(self.sign))
-            object.__setattr__(self, "theta", float(self.theta))
+    def __init__(self, sign: int, theta: float) -> None:
+        if sign not in (-1, 1):
+            raise ValueError(f"hyperbolic sign must be +1 or -1, got {sign!r}")
+        if not (0.0 < theta <= _MAX_THETA):
+            raise ValueError(f"hyperbolic phase must lie in (0, {_MAX_THETA!r}], got {theta!r}")
+        fields = self.__dict__  # as Trigonometric's theta
+        fields["sign"], fields["theta"] = int(sign), float(theta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Degenerate:
     """lambda is undefined (zero reference probability); only delta is meaningful."""
 
     kind: ClassVar[str] = "degenerate"
     reason: DegenerateReason
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.reason, DegenerateReason):
-            raise ValueError(f"degenerate reason must be a DegenerateReason, got {self.reason!r}")
+    def __init__(self, reason: DegenerateReason) -> None:
+        if not isinstance(reason, DegenerateReason):
+            raise ValueError(f"degenerate reason must be a DegenerateReason, got {reason!r}")
+        self.__dict__["reason"] = reason
 
 
 Regime = Union[Trigonometric, Hyperbolic, Degenerate]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TransitionAnalysis:
     """Perturbation, normalized coefficient and regime of one transition.
 
@@ -192,12 +190,12 @@ class TransitionAnalysis:
     lam: float | None
     regime: Regime
 
-    def __post_init__(self) -> None:
-        regime, lam, kind = self.regime, self.lam, type(self.regime)
+    def __init__(self, delta: float, lam: float | None, regime: Regime) -> None:
+        kind = type(regime)
         if kind is not Trigonometric and kind is not Hyperbolic and kind is not Degenerate:
             raise ValueError(f"unknown regime type {regime!r}")
-        if not (math.isfinite(self.delta) and (lam is None or math.isfinite(lam))):
-            raise ValueError(f"delta and lam must be finite, got {self.delta!r} and {lam!r}")
+        if not (math.isfinite(delta) and (lam is None or math.isfinite(lam))):
+            raise ValueError(f"delta and lam must be finite, got {delta!r} and {lam!r}")
         if (kind is Degenerate) != (lam is None):
             raise ValueError("lam must be None exactly for a degenerate regime")
         if kind is Trigonometric:  # "not <=", so that no NaN passes
@@ -206,6 +204,8 @@ class TransitionAnalysis:
         elif kind is Hyperbolic:
             if not abs(regime.sign * math.cosh(regime.theta) - lam) <= ROUND_OFF * abs(lam):
                 raise ValueError("hyperbolic phase does not match lam")
+        fields = self.__dict__
+        fields["delta"], fields["lam"], fields["regime"] = delta, lam, regime
 
 
 class CorrespondencePoint(NamedTuple):
@@ -259,9 +259,14 @@ def classify(lam: float) -> Regime:
     x = float(lam)
     if not math.isfinite(x):
         raise NonFinite(f"lambda must be finite, got {lam!r}")
-    if _same_regime(Trigonometric, x):
-        return Trigonometric(theta=_phase(Trigonometric, x))
-    return Hyperbolic(sign=1 if x > 0.0 else -1, theta=_phase(Hyperbolic, x))
+    return _regime(x)
+
+
+def _regime(lam: float) -> Regime:
+    """The regime of a finite float ``lam``, as :func:`classify` describes it."""
+    if _same_regime(Trigonometric, lam):
+        return Trigonometric(_phase(Trigonometric, lam))
+    return Hyperbolic(1 if lam > 0.0 else -1, _phase(Hyperbolic, lam))
 
 
 def reconstruct_probability(p1_prime, p2_prime, lam: float) -> Probability:
@@ -324,8 +329,9 @@ def analyze(triple: ContextTriple) -> TransitionAnalysis:
         else:
             reason = DegenerateReason.PRODUCT_UNDERFLOW
         return TransitionAnalysis(delta=delta, lam=None, regime=Degenerate(reason))
+    # Finite without classify's checks: |delta| <= 2 and denom >= 2*sqrt(5e-324).
     lam = delta / denom
-    return TransitionAnalysis(delta=delta, lam=lam, regime=classify(lam))
+    return TransitionAnalysis(delta, lam, _regime(lam))
 
 
 def correspondence_scan(

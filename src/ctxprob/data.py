@@ -95,7 +95,7 @@ def _by_label(items: dict, noun: str) -> dict:
     return {label: items[label] for label in CONTEXT_LABELS if label in items}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CountRow:
     """Outcome counts of one context's run: whole successes in [0, trials], trials in [1, 2**63)."""
 
@@ -103,20 +103,20 @@ class CountRow:
     successes: int
     trials: int
 
-    def __post_init__(self) -> None:
-        if self.label not in CONTEXT_LABELS:
-            raise ValueError(f"unknown context label {self.label!r}")
-        trials = _whole(self.trials, f"{self.label}: trials", 1, _INTEGER_BOUND)
-        successes = _whole(self.successes, f"{self.label}: successes", 0, trials + 1)
-        object.__setattr__(self, "successes", successes)
-        object.__setattr__(self, "trials", trials)
+    def __init__(self, label: str, successes: int, trials: int) -> None:
+        if label not in CONTEXT_LABELS:
+            raise ValueError(f"unknown context label {label!r}")
+        trials = _whole(trials, f"{label}: trials", 1, _INTEGER_BOUND)
+        successes = _whole(successes, f"{label}: successes", 0, trials + 1)
+        fields = self.__dict__
+        fields["label"], fields["successes"], fields["trials"] = label, successes, trials
 
     @property
     def proportion(self) -> float:
         return self.successes / self.trials
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CountTable:
     """Per-context counts of one experiment; rows are kept in canonical order.
 
@@ -125,12 +125,12 @@ class CountTable:
 
     rows: tuple[CountRow, ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple(self.rows)
+    def __init__(self, rows: Iterable[CountRow]) -> None:
+        rows = tuple(rows)
         by_label = {r.label: r for r in rows}
         if len(by_label) != len(rows):
             raise ValueError(f"duplicate context labels in {[r.label for r in rows]!r}")
-        object.__setattr__(self, "rows", tuple(_by_label(by_label, "rows").values()))
+        self.__dict__["rows"] = tuple(_by_label(by_label, "rows").values())
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -185,22 +185,22 @@ class CountFile:
 _CONSISTENT_Z = 3.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AdditivityCheck:
     """z-statistic for the pre-transition additive decomposition; consistent when |z| <= 3."""
 
     z_statistic: float
     consistent: bool
 
-    def __post_init__(self) -> None:
-        z = self.z_statistic
-        if not math.isfinite(z) or self.consistent != (abs(z) <= _CONSISTENT_Z):
+    def __init__(self, z_statistic: float, consistent: bool) -> None:
+        z = z_statistic
+        if not math.isfinite(z) or consistent != (abs(z) <= _CONSISTENT_Z):
             raise ValueError(
                 f"consistent must equal |z_statistic| <= 3 for a finite z_statistic, "
-                f"got {self.consistent!r} for z_statistic {z!r}"
+                f"got {consistent!r} for z_statistic {z!r}"
             )
-        object.__setattr__(self, "z_statistic", float(z))
-        object.__setattr__(self, "consistent", bool(self.consistent))
+        fields = self.__dict__
+        fields["z_statistic"], fields["consistent"] = float(z), bool(consistent)
 
 
 class _CountError(Exception):
@@ -322,7 +322,7 @@ def additivity_check(counts: CountTable) -> AdditivityCheck | None:
     return AdditivityCheck(z_statistic=z, consistent=abs(z) <= _CONSISTENT_Z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ContextSummary:
     """One context's empirical summary inside a report."""
 
@@ -331,25 +331,25 @@ class ContextSummary:
     trials: int | None = None
     interval: tuple[float, float] | None = None
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_hat <= 1.0:
-            raise ValueError(f"p_hat must lie in [0, 1], got {self.p_hat!r}")
-        if (self.successes is None) != (self.trials is None):
+    def __init__(self, p_hat: float, successes: int | None = None, trials: int | None = None,
+                 interval: tuple[float, float] | None = None) -> None:
+        if not 0.0 <= p_hat <= 1.0:
+            raise ValueError(f"p_hat must lie in [0, 1], got {p_hat!r}")
+        if (successes is None) != (trials is None):
             raise ValueError("successes and trials must be both present or both null")
-        if self.trials is not None:
-            trials = _whole(self.trials, "trials", 1, _INTEGER_BOUND)
-            successes = _whole(self.successes, "successes", 0, trials + 1)
-            if self.p_hat != successes / trials:
+        if trials is not None:
+            trials = _whole(trials, "trials", 1, _INTEGER_BOUND)
+            successes = _whole(successes, "successes", 0, trials + 1)
+            if p_hat != successes / trials:
                 raise ValueError(
                     f"p_hat must equal successes / trials = {successes / trials!r}, "
-                    f"got {self.p_hat!r}"
+                    f"got {p_hat!r}"
                 )
-            object.__setattr__(self, "successes", successes)
-            object.__setattr__(self, "trials", trials)
-        if self.interval is not None and not 0.0 <= self.interval[0] <= self.interval[1] <= 1.0:
-            raise ValueError(f"interval must satisfy 0 <= lo <= hi <= 1, got {self.interval!r}")
-        object.__setattr__(self, "p_hat", float(self.p_hat))
-        object.__setattr__(self, "interval", _pair(self.interval))
+        if interval is not None and not 0.0 <= interval[0] <= interval[1] <= 1.0:
+            raise ValueError(f"interval must satisfy 0 <= lo <= hi <= 1, got {interval!r}")
+        fields = self.__dict__
+        fields["p_hat"], fields["successes"] = float(p_hat), successes
+        fields["trials"], fields["interval"] = trials, _pair(interval)
 
 
 def WaveSummary(kind, components) -> ComplexAmplitude | SplitComplexAmplitude:
@@ -364,7 +364,7 @@ def WaveSummary(kind, components) -> ComplexAmplitude | SplitComplexAmplitude:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Reproducibility:
     """Seed, replicate count and generator behind the randomized parts of a report.
 
@@ -376,22 +376,20 @@ class Reproducibility:
     replicates: int
     generator_name: str
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.generator_name, str):
-            raise ValueError(f"generator_name must be a string, got {self.generator_name!r}")
-        object.__setattr__(self, "seed", _whole(self.seed, "seed", 0, 2**64))
-        object.__setattr__(self, "replicates", _whole(self.replicates, "replicates", 0, math.inf))
-        object.__setattr__(self, "generator_name", str(self.generator_name))
+    def __init__(self, seed: int, replicates: int, generator_name: str) -> None:
+        if not isinstance(generator_name, str):
+            raise ValueError(f"generator_name must be a string, got {generator_name!r}")
+        fields = self.__dict__
+        fields["seed"] = _whole(seed, "seed", 0, 2**64)
+        fields["replicates"] = _whole(replicates, "replicates", 0, math.inf)
+        fields["generator_name"] = str(generator_name)
 
 
-# The types each record field of a report takes, exactly: those write_report can write.
-# TransitionAnalysis checks the regime, and the regime's type gives the wave's.
-_DOCUMENT_RECORDS = {"additivity": (AdditivityCheck, type(None)),
-                     "reproducibility": (Reproducibility,)}
+# The wave type each regime type takes; TransitionAnalysis checks the regime.
 _WAVES = {Trigonometric: ComplexAmplitude, Hyperbolic: SplitComplexAmplitude, Degenerate: None}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ReportDocument:
     """Complete analysis report; serializes canonically via :func:`write_report`."""
 
@@ -406,35 +404,43 @@ class ReportDocument:
     wave: ComplexAmplitude | SplitComplexAmplitude | None
     reproducibility: Reproducibility
 
-    def __post_init__(self) -> None:
-        if self.schema_version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema version {self.schema_version!r}")
-        object.__setattr__(self, "schema_version", SCHEMA_VERSION)
-        object.__setattr__(self, "inputs", _by_label(self.inputs, "summaries"))
-        for label, summary in self.inputs.items():
+    def __init__(self, schema_version: str, inputs: dict[str, ContextSummary], delta: float,
+                 lam: float | None, regime: Regime, lambda_interval: tuple[float, float] | None,
+                 regime_stability: float | None, additivity: AdditivityCheck | None,
+                 wave: ComplexAmplitude | SplitComplexAmplitude | None,
+                 reproducibility: Reproducibility) -> None:
+        if schema_version != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema version {schema_version!r}")
+        inputs = _by_label(inputs, "summaries")
+        for label, summary in inputs.items():
             if type(summary) is not ContextSummary:
                 raise ValueError(f"unknown inputs.{label} type {summary!r}")
-        for name, types in _DOCUMENT_RECORDS.items():
-            if type(getattr(self, name)) not in types:
-                raise ValueError(f"unknown {name} type {getattr(self, name)!r}")
-        if self.regime_stability is not None and not 0.0 <= self.regime_stability <= 1.0:
-            raise ValueError(f"regime_stability must lie in [0, 1], got {self.regime_stability!r}")
-        interval = self.lambda_interval
+        # The record types each field takes, exactly: those write_report can write.
+        if type(additivity) is not AdditivityCheck and additivity is not None:
+            raise ValueError(f"unknown additivity type {additivity!r}")
+        if type(reproducibility) is not Reproducibility:
+            raise ValueError(f"unknown reproducibility type {reproducibility!r}")
+        if regime_stability is not None and not 0.0 <= regime_stability <= 1.0:
+            raise ValueError(f"regime_stability must lie in [0, 1], got {regime_stability!r}")
+        interval = lambda_interval
         if interval is not None and not -math.inf < interval[0] <= interval[1] < math.inf:
             raise ValueError(f"lambda_interval must satisfy lo <= hi, finite, got {interval!r}")
-        TransitionAnalysis(self.delta, self.lam, self.regime)  # the regime, delta and lam rules
-        if self.wave is not None:
-            wave_type = _WAVES[type(self.regime)]
-            if type(self.wave) is not wave_type:
+        TransitionAnalysis(delta, lam, regime)  # the regime, delta and lam rules
+        if wave is not None:
+            wave_type = _WAVES[type(regime)]
+            if type(wave) is not wave_type:
                 allowed = "null" if wave_type is None else f"null or a {wave_type.kind!r} wave"
-                raise ValueError(f"wave must be {allowed} for a {self.regime.kind} regime, "
-                                 f"got {self.wave!r}")
-            if not all(map(math.isfinite, self.wave.components)):
-                raise ValueError(f"wave components must be finite, got {self.wave.components!r}")
-        for name in ("delta", "lam", "regime_stability"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "lambda_interval", _pair(interval))
+                raise ValueError(f"wave must be {allowed} for a {regime.kind} regime, "
+                                 f"got {wave!r}")
+            if not all(map(math.isfinite, wave.components)):
+                raise ValueError(f"wave components must be finite, got {wave.components!r}")
+        fields = self.__dict__
+        fields["schema_version"], fields["inputs"] = SCHEMA_VERSION, inputs
+        fields["delta"], fields["lam"] = float(delta), None if lam is None else float(lam)
+        fields["regime"], fields["lambda_interval"] = regime, _pair(interval)
+        fields["regime_stability"] = None if regime_stability is None else float(regime_stability)
+        fields["additivity"], fields["wave"] = additivity, wave
+        fields["reproducibility"] = reproducibility
 
 
 # What json.dumps returns for a string under its default settings.

@@ -2,7 +2,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ctxprob.calculus import (
@@ -33,6 +33,11 @@ from ctxprob.errors import (
 # 1e-12 identity tolerances.
 positive_probs = st.floats(min_value=0.01, max_value=1.0)
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
+# Log-uniform down to the smallest subnormal, 5e-324, so that tiny, subnormal
+# and underflowing reference products are all drawn.
+log_uniform_probs = st.floats(min_value=math.log(5e-324), max_value=0.0).map(
+    lambda x: max(math.exp(x), 5e-324)
+)
 
 
 class TestProbability:
@@ -280,6 +285,18 @@ class TestAnalyze:
         p_s = reconstruct_probability(a, b, lam)
         recovered = analyze(ContextTriple(p_s, a, b)).lam
         assert recovered == pytest.approx(lam, abs=1e-12)
+
+
+    @given(p_s=st.one_of(unit_floats, log_uniform_probs), a=log_uniform_probs, b=log_uniform_probs)
+    @example(p_s=1.0, a=0.25, b=0.25)  # lambda = 1 exactly
+    @example(p_s=0.0, a=0.25, b=0.25)  # lambda = -1 exactly
+    @example(p_s=1.0, a=1e-300, b=1e-8)
+    @example(p_s=0.5, a=5e-324, b=1.0)
+    def test_regime_is_classify_of_lambda(self, p_s, a, b):
+        """analyze's own path from lambda to a regime gives what classify gives."""
+        result = analyze(ContextTriple(p_s, a, b))
+        assume(result.lam is not None)
+        assert result.regime == classify(result.lam)
 
 
 class _TrigonometricSubclass(Trigonometric):

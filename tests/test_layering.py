@@ -9,8 +9,10 @@ round-off slack is written once, as ``calculus.ROUND_OFF``, that the
 whole-number test ``x % 1`` is written once, in ``data._whole``, that
 lambda's normalizer ``2.0 * sqrt(a * b)`` and its boundary test
 ``abs(lam) <= 1.0`` are written once, in the transition kernel of
-``calculus``, and that an analysis becomes a ``ReportDocument`` in one place,
-the report builders' shared assembly.
+``calculus``, that an analysis becomes a ``ReportDocument`` in one place,
+the report builders' shared assembly, and that every record stores its
+fields once, in its own ``__init__``: no ``__post_init__`` and no
+``object.__setattr__`` anywhere in the package.
 
 At run time, only sampling and the bootstrap load numpy: ``range``,
 ``sweep`` and direct-mode ``analyze`` run in a fresh interpreter without it.
@@ -217,6 +219,41 @@ def test_one_transition_rule():
     assert [name for name, _ in boundaries] == ["calculus.py"], boundaries
     assert _inside(calculus._normalizer, normalizers[0][1])
     assert _inside(calculus._same_regime, boundaries[0][1])
+
+
+def _second_stores(source: str) -> tuple[list[int], list[int]]:
+    """Lines of every ``__post_init__`` definition and of every ``object.__setattr__``."""
+    post_inits, setattrs = [], []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            post_inits.append(node.lineno)
+        if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object"):
+            setattrs.append(node.lineno)
+    return post_inits, setattrs
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def __post_init__(self):\n    pass", ([1], [])),
+        ("class A:\n    def __post_init__(self) -> None:\n        pass", ([2], [])),
+        ("object.__setattr__(self, 'theta', 1.0)", ([], [1])),
+        ("store = object.__setattr__", ([], [1])),
+    ],
+)
+def test_detector_flags_each_second_store(source, found):
+    assert _second_stores(source) == found
+
+
+def test_records_store_each_field_once():
+    """A record checks and stores its fields in its own __init__, with no store after it."""
+    found = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        post_inits, setattrs = _second_stores(path.read_text(encoding="utf-8"))
+        if post_inits or setattrs:
+            found[path.name] = post_inits, setattrs
+    assert found == {}
 
 
 # The closed-form subcommands never draw, so they must not pay for importing numpy.

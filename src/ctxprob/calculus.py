@@ -25,7 +25,8 @@ transformed probability from its parts, bounds the admissible coefficient
 range, and scans the classical limit where the two arrangements coincide.
 
 All operations are pure functions over immutable values and are safe for
-unrestricted concurrent use.
+unrestricted concurrent use.  A record checks its fields in its own ``__init__``,
+stores each field once and stays frozen.
 """
 
 from __future__ import annotations
@@ -101,11 +102,8 @@ class ContextTriple:
             p1, p2 = Probability(p1), Probability(p2)
             gap = abs(p_s - (p1 + p2))
             if gap > _ADDITIVITY_TOL:
-                raise AdditivityViolation(
-                    f"p_s={float(p_s)!r} deviates from p1+p2="
-                    f"{p1 + p2!r} by {gap:.3e} "
-                    f"(tolerance {_ADDITIVITY_TOL:.1e})"
-                )
+                raise AdditivityViolation(f"p_s={float(p_s)!r} deviates from p1+p2={p1 + p2!r} "
+                                          f"by {gap:.3e} (tolerance {_ADDITIVITY_TOL:.1e})")
         fields = self.__dict__  # each field stored once; the frozen __setattr__ refuses any more
         fields["p_s"], fields["p1_prime"], fields["p2_prime"] = p_s, p1_prime, p2_prime
         fields["p1"], fields["p2"] = p1, p2

@@ -28,7 +28,8 @@ the regime's (``_WAVES``); a degenerate regime has none, and any wave may be nul
 The nested records' schema is written once, in ``_FIELDS`` below: the JSON
 reader of each field the record types declare, and whether it may be null.
 The writer writes a record as its fields in declaration order, and the reader
-checks each object's keys against the same fields.
+checks each object's keys against the same fields.  A record checks its fields
+in its own ``__init__`` and stores each once, in that order; it stays frozen.
 """
 
 from __future__ import annotations
@@ -193,14 +194,13 @@ class AdditivityCheck:
     consistent: bool
 
     def __init__(self, z_statistic: float, consistent: bool) -> None:
-        z = z_statistic
-        if not math.isfinite(z) or consistent != (abs(z) <= _CONSISTENT_Z):
+        if not math.isfinite(z_statistic) or consistent != (abs(z_statistic) <= _CONSISTENT_Z):
             raise ValueError(
                 f"consistent must equal |z_statistic| <= 3 for a finite z_statistic, "
-                f"got {consistent!r} for z_statistic {z!r}"
+                f"got {consistent!r} for z_statistic {z_statistic!r}"
             )
         fields = self.__dict__
-        fields["z_statistic"], fields["consistent"] = float(z), bool(consistent)
+        fields["z_statistic"], fields["consistent"] = float(z_statistic), bool(consistent)
 
 
 class _CountError(Exception):
@@ -331,8 +331,7 @@ class ContextSummary:
     trials: int | None = None
     interval: tuple[float, float] | None = None
 
-    def __init__(self, p_hat: float, successes: int | None = None, trials: int | None = None,
-                 interval: tuple[float, float] | None = None) -> None:
+    def __init__(self, p_hat, successes=None, trials=None, interval=None) -> None:
         if not 0.0 <= p_hat <= 1.0:
             raise ValueError(f"p_hat must lie in [0, 1], got {p_hat!r}")
         if (successes is None) != (trials is None):
@@ -404,11 +403,8 @@ class ReportDocument:
     wave: ComplexAmplitude | SplitComplexAmplitude | None
     reproducibility: Reproducibility
 
-    def __init__(self, schema_version: str, inputs: dict[str, ContextSummary], delta: float,
-                 lam: float | None, regime: Regime, lambda_interval: tuple[float, float] | None,
-                 regime_stability: float | None, additivity: AdditivityCheck | None,
-                 wave: ComplexAmplitude | SplitComplexAmplitude | None,
-                 reproducibility: Reproducibility) -> None:
+    def __init__(self, schema_version, inputs, delta, lam, regime, lambda_interval,
+                 regime_stability, additivity, wave, reproducibility) -> None:
         if schema_version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {schema_version!r}")
         inputs = _by_label(inputs, "summaries")

@@ -9,6 +9,14 @@ whose squared modulus reproduces the transformed probability
 split-complex numbers (unit j with j**2 = +1): the modulus form
 ``re**2 - hy**2`` plays the role the complex modulus plays in the
 trigonometric case and reproduces ``p1' + p2' +/- 2*sqrt(p1'*p2')*cosh(theta)``.
+
+In floating point that form cancels two numbers of size ``re**2 + hy**2``,
+so a small p1' loses p_S.  For the wave of a hyperbolic ``analyze`` with
+phase theta and eps = 2**-52, to first order (README derives the constant)::
+
+    |re**2 - hy**2 - p_S| <= (27 + 4*theta) * eps * max(re**2 + hy**2, 1) + 2*|delta|*omega
+
+with omega = 2**-1075 / (p1'*p2' - 2**-1075) for a subnormal p1'*p2', else 0.
 """
 
 from __future__ import annotations

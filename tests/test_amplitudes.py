@@ -1,8 +1,10 @@
 import cmath
 import math
+import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from ctxprob.amplitudes import (
@@ -15,11 +17,14 @@ from ctxprob.amplitudes import (
 from ctxprob.calculus import (
     ROUND_OFF,
     ContextTriple,
+    Hyperbolic,
     analyze,
     lambda_range,
     reconstruct_probability,
 )
+from ctxprob.data import CountRow, CountTable
 from ctxprob.errors import DegenerateRegime, InadmissibleLambda
+from ctxprob.simulation import report_from_counts
 
 positive_probs = st.floats(min_value=0.01, max_value=1.0)
 
@@ -170,3 +175,66 @@ class TestWaveFromAnalysis:
             else wave.hyperbolic_modulus
         )
         assert modulus == pytest.approx(float(p_s), abs=1e-12)
+
+
+# The hyperbolic modulus bound the amplitudes docstring states and derives.
+_HALF_SUBNORMAL = Fraction(2) ** -1075
+
+
+def _modulus_bound(p1_prime, p2_prime, delta, theta, wave) -> float:
+    """The bound on ``|re**2 - hy**2 - p_S|`` for the wave of a hyperbolic analysis."""
+    scale = max(wave.re * wave.re + wave.hy * wave.hy, 1.0)
+    bound = (27.0 + 4.0 * theta) * sys.float_info.epsilon * scale
+    product = Fraction(p1_prime) * Fraction(p2_prime)
+    if product < sys.float_info.min:  # a subnormal product rounds lambda's normalizer
+        omega = _HALF_SUBNORMAL / (product - _HALF_SUBNORMAL)
+        bound += float(2 * abs(Fraction(delta)) * omega)
+    return bound
+
+
+# Log-uniform down to 1e-300: tiny p' drive lambda, and cosh(theta), far past 1e100.
+_log_uniform = st.floats(min_value=math.log(1e-300), max_value=0.0).map(math.exp)
+
+
+@st.composite
+def _count_rows(draw, label):
+    trials = draw(st.integers(min_value=1, max_value=2**63 - 1))
+    return CountRow(label, draw(st.integers(min_value=0, max_value=trials)), trials)
+
+
+class TestHyperbolicModulusBound:
+    """A hyperbolic wave's modulus meets the bound stated in the amplitudes docstring.
+
+    Its form ``re**2 - hy**2`` cancels two numbers of size ``re**2 + hy**2``,
+    so that sum, not p_S, sets the error; the bound is far from p_S itself
+    once p1' is small.
+    """
+
+    @given(p_s=st.one_of(st.floats(min_value=0.0, max_value=1.0), _log_uniform),
+           a=_log_uniform, b=_log_uniform)
+    @example(p_s=1.0, a=1e-300, b=1e-8)  # both components 4.9999999499999945e+149, modulus 0.0
+    def test_direct_triples(self, p_s, a, b):
+        analysis = analyze(ContextTriple(p_s, a, b))
+        assume(type(analysis.regime) is Hyperbolic)
+        wave = wave_from_analysis(a, b, analysis)
+        bound = _modulus_bound(a, b, analysis.delta, analysis.regime.theta, wave)
+        assert abs(wave.hyperbolic_modulus - p_s) <= bound
+
+    @given(s=_count_rows("S"), s1p=_count_rows("S1p"), s2p=_count_rows("S2p"))
+    @example(s=CountRow("S", 9 * 2**62 // 10, 2**62), s1p=CountRow("S1p", 1, 2**62),
+             s2p=CountRow("S2p", 2**62 // 20, 2**62))  # modulus 0.0 against p_S = 0.9
+    def test_count_tables(self, s, s1p, s2p):
+        doc = report_from_counts(CountTable((s, s1p, s2p)), replicates=0)
+        assume(type(doc.regime) is Hyperbolic)
+        p_s, a, b = (doc.inputs[label].p_hat for label in ("S", "S1p", "S2p"))
+        bound = _modulus_bound(a, b, doc.delta, doc.regime.theta, doc.wave)
+        assert abs(doc.wave.hyperbolic_modulus - p_s) <= bound
+
+    def test_known_cases_lose_p_s_entirely(self):
+        wave = wave_from_analysis(1e-300, 1e-8, analyze(ContextTriple(1.0, 1e-300, 1e-8)))
+        assert wave.components == (4.9999999499999945e+149, 4.9999999499999945e+149)
+        assert wave.hyperbolic_modulus == 0.0
+        n = 2**62
+        table = CountTable((CountRow("S", 9 * n // 10, n), CountRow("S1p", 1, n),
+                            CountRow("S2p", n // 20, n)))
+        assert report_from_counts(table, replicates=0).wave.hyperbolic_modulus == 0.0

@@ -286,8 +286,8 @@ class TestAnalyze:
         recovered = analyze(ContextTriple(p_s, a, b)).lam
         assert recovered == pytest.approx(lam, abs=1e-12)
 
-
-    @given(p_s=st.one_of(unit_floats, log_uniform_probs), a=log_uniform_probs, b=log_uniform_probs)
+    @given(p_s=st.one_of(unit_floats, log_uniform_probs), a=log_uniform_probs,
+           b=log_uniform_probs)
     @example(p_s=1.0, a=0.25, b=0.25)  # lambda = 1 exactly
     @example(p_s=0.0, a=0.25, b=0.25)  # lambda = -1 exactly
     @example(p_s=1.0, a=1e-300, b=1e-8)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Iterable
 
@@ -329,6 +330,8 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # No command calls BLAS, so an OpenBLAS thread pool would only cost start-up time.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

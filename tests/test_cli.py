@@ -651,3 +651,69 @@ class TestEntryPoint:
         )
         assert result.returncode == 1
         assert result.stderr.startswith(b"error: usage:")
+
+    @pytest.mark.parametrize("given, expected", [(None, "1"), ("4", "4")])
+    def test_run_sets_one_blas_thread_unless_given(self, monkeypatch, given, expected):
+        # setenv first, so that undoing the patch also removes what run() sets
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", given or "")
+        if given is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        seen = []
+        monkeypatch.setattr(cli, "main", lambda: seen.append(os.environ["OPENBLAS_NUM_THREADS"]) or 0)
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+        assert exited.value.code == 0
+        assert seen == [expected]
+
+    def test_main_leaves_the_environment_alone(self, capsysbinary, tmp_path):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("context,successes,trials\nS,900,1000\nS1p,100,1000\nS2p,100,1000\n")
+        before = dict(os.environ)
+        for argv in (
+            ["range", "--p1p", "0.1", "--p2p", "0.1"],
+            ["sweep", "--p1p", "0.1", "--p2p", "0.1", "--lambda-min", "-1", "--lambda-max", "4",
+             "--steps", "11"],
+            ["analyze", "--p-s", "0.9", "--p1p", "0.1", "--p2p", "0.1"],
+            ["analyze", str(counts), "--replicates", "10"],
+            ["simulate", "two-slit", "--p1", "0.2", "--p2", "0.2", "--theta", "1", "--trials", "100"],
+        ):
+            assert run_cli(capsysbinary, *argv)[0] == 0, argv
+            assert dict(os.environ) == before, argv
+
+    def test_import_leaves_the_environment_alone(self):
+        source = (
+            "import os, pkgutil, importlib\n"
+            "before = dict(os.environ)\n"
+            "import ctxprob\n"
+            "for module in pkgutil.iter_modules(ctxprob.__path__):\n"
+            "    if module.name != '__main__':\n"
+            "        importlib.import_module('ctxprob.' + module.name)\n"
+            "print(len(ctxprob.__all__), dict(os.environ) == before)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True,
+                                check=True, env=_child_env())
+        assert result.stdout == f"{len(ctxprob.__all__)} True\n"
+
+
+# Runs ``python -m ctxprob ARGV...`` and prints its OS thread count to stderr at exit.
+_THREAD_PROBE = """
+import atexit, os, runpy, sys
+atexit.register(lambda: print("threads", len(os.listdir("/proc/self/task")), file=sys.stderr))
+runpy.run_module("ctxprob", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="OpenBLAS starts no thread pool on one CPU; threads are read from /proc")
+@pytest.mark.parametrize("given, threads", [(None, 1), ("2", 2)])
+def test_simulate_child_starts_no_blas_pool_unless_asked(given, threads):
+    env = _child_env()
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    argv = ["simulate", "two-slit", "--p1", "0.2", "--p2", "0.2", "--theta", "1", "--trials", "100"]
+    result = subprocess.run([sys.executable, "-c", _THREAD_PROBE, *argv], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == f"threads {threads}"

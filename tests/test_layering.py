@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 
 import ctxprob
-from ctxprob import calculus, data, simulation
+from ctxprob import calculus, cli, data, simulation
 
 PACKAGE_DIR = Path(ctxprob.__file__).parent
 LOWER_LAYERS = ("calculus", "amplitudes", "errors", "data")
@@ -219,6 +219,65 @@ def test_one_transition_rule():
     assert [name for name, _ in boundaries] == ["calculus.py"], boundaries
     assert _inside(calculus._normalizer, normalizers[0][1])
     assert _inside(calculus._same_regime, boundaries[0][1])
+
+
+# numpy routines that call BLAS; no command needs one, so the CLI starts no BLAS thread pool.
+_BLAS = ("linalg", "dot", "vdot", "matmul", "inner", "outer", "tensordot", "einsum", "kron")
+
+
+def _blas_uses(source: str) -> list[int]:
+    """Lines that call, import or reach a BLAS-backed numpy routine, or use ``@``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+            if any(part in _BLAS for name in names for part in name.split(".")):
+                lines.add(node.lineno)
+        if (any(_is_call_to(node, name) for name in _BLAS)
+                or isinstance(node, ast.Attribute) and node.attr == "linalg"
+                or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "x = np.dot(a, b)",
+        "x = a.dot(b)",
+        "n = np.linalg.norm(v)",
+        "from numpy.linalg import norm",
+        "from numpy import einsum",
+        "import numpy.linalg",
+        "x = np.outer(a, b)",
+        "x = a @ b",
+        "a @= b",
+    ],
+)
+def test_detector_flags_each_blas_form(source):
+    assert _blas_uses(source) == [1]
+
+
+def test_detector_ignores_a_name_that_is_not_a_call():
+    assert _blas_uses("inner = pad + '  '\nline = f(v, inner)") == []
+
+
+def test_no_blas_routine():
+    """No module calls BLAS, and cli.run() alone asks OpenBLAS for one thread because of it."""
+    found, requests = {}, []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = _blas_uses(source)
+        if lines:
+            found[path.name] = lines
+        requests += [
+            (path.name, node.lineno)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and node.value == "OPENBLAS_NUM_THREADS"
+        ]
+    assert found == {}
+    assert [name for name, _ in requests] == ["cli.py"], requests
+    assert _inside(cli.run, requests[0][1])
 
 
 def _second_stores(source: str) -> tuple[list[int], list[int]]:

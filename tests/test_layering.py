@@ -12,7 +12,9 @@ lambda's normalizer ``2.0 * sqrt(a * b)`` and its boundary test
 ``calculus``, that an analysis becomes a ``ReportDocument`` in one place,
 the report builders' shared assembly, and that every record stores its
 fields once, in its own ``__init__``: no ``__post_init__`` and no
-``object.__setattr__`` anywhere in the package.
+``object.__setattr__`` anywhere in the package.  Nor does any module call a
+BLAS-backed numpy routine or use ``@``, which is why ``cli.run`` alone asks
+OpenBLAS for one thread.
 
 At run time, only sampling and the bootstrap load numpy: ``range``,
 ``sweep`` and direct-mode ``analyze`` run in a fresh interpreter without it.

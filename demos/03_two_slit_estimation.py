@@ -11,13 +11,7 @@ bootstrap interval tightens with more data.
 
 import math
 
-from ctxprob import (
-    TwoSlitScenario,
-    estimate,
-    sample_counts,
-    scenario_truth,
-    theta_recovery_error,
-)
+from ctxprob import TwoSlitScenario, estimate, sample_counts, scenario_truth
 
 scenario = TwoSlitScenario(
     a1_modulus=math.sqrt(0.3), a2_modulus=math.sqrt(0.2), phase=math.pi / 3
@@ -33,7 +27,7 @@ for trials in (10**3, 10**4, 10**5, 10**6):
     counts = sample_counts(scenario, trials, seed=42)
     report = estimate(counts, replicates=1000, confidence=0.95, seed=42)
     lo, hi = report.lambda_interval
-    err = theta_recovery_error(math.pi / 3, report, expected_kind="trigonometric")
+    err = abs(report.point.regime.theta - math.pi / 3)
     print(f"{trials:>9}  {report.point.lam:>10.5f}  [{lo:>9.5f}, {hi:>9.5f}]  {err:>10.2e}")
 print()
 

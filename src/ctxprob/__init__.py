@@ -13,10 +13,9 @@ finite count data with bootstrap uncertainty.
 # Python SPEC 1), so ``range`` and ``sweep`` load only the calculus layer.
 _EXPORTS = {
     "calculus": (
-        "ROUND_OFF", "ContextTriple", "CorrespondencePoint", "Degenerate",
-        "DegenerateReason", "Hyperbolic", "Probability", "Regime", "TransitionAnalysis",
-        "Trigonometric", "analyze", "classify", "correspondence_scan", "lambda_range",
-        "reconstruct_probability",
+        "ROUND_OFF", "ContextTriple", "Degenerate", "DegenerateReason", "Hyperbolic",
+        "Probability", "Regime", "TransitionAnalysis", "Trigonometric", "analyze",
+        "classify", "lambda_range", "reconstruct_probability",
     ),
     "amplitudes": (
         "ComplexAmplitude", "SplitComplexAmplitude", "hyper_wave", "trig_wave",
@@ -25,7 +24,7 @@ _EXPORTS = {
     "simulation": (
         "GENERATOR_NAME", "DirectScenario", "EstimationReport", "HyperbolicUrnScenario",
         "TwoSlitScenario", "estimate", "report_from_counts", "report_from_triple",
-        "sample_counts", "scenario_truth", "theta_recovery_error",
+        "sample_counts", "scenario_truth",
     ),
     "data": (
         "CONTEXT_LABELS", "COUNTS_HEADER", "SCHEMA_VERSION", "AdditivityCheck",
@@ -37,8 +36,7 @@ _EXPORTS = {
     "errors": (
         "AdditivityViolation", "CtxprobError", "DegenerateDenominator",
         "DegenerateRegime", "DegenerateVariance", "InadmissibleLambda",
-        "InvalidPerturbedProbability", "InvalidProbability", "InvalidScenario",
-        "NonFinite", "ParseError", "RegimeMismatch",
+        "InvalidProbability", "InvalidScenario", "NonFinite", "ParseError",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

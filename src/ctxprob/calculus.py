@@ -21,8 +21,8 @@ classifies the transition: ``|lambda| <= 1`` is the trigonometric regime
 is the hyperbolic regime (``lambda = sign * cosh(theta)``), and a zero
 reference probability leaves ``lambda`` undefined (degenerate).  This module
 computes ``delta`` and ``lambda``, classifies transitions, reconstructs the
-transformed probability from its parts, bounds the admissible coefficient
-range, and scans the classical limit where the two arrangements coincide.
+transformed probability from its parts and bounds the admissible coefficient
+range.
 
 All operations are pure functions over immutable values and are safe for
 unrestricted concurrent use.  A record checks its fields in its own ``__init__``,
@@ -34,13 +34,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Sequence, Union
+from typing import ClassVar, Union
 
 from .errors import (
     AdditivityViolation,
     DegenerateDenominator,
     InadmissibleLambda,
-    InvalidPerturbedProbability,
     InvalidProbability,
     NonFinite,
 )
@@ -206,12 +205,6 @@ class TransitionAnalysis:
         fields["delta"], fields["lam"], fields["regime"] = delta, lam, regime
 
 
-class CorrespondencePoint(NamedTuple):
-    epsilon: float
-    delta: float
-    lam: float | None
-
-
 # The transition rule, written once: analyze takes it on floats with the math
 # functions, and simulation.estimate on replicate arrays with numpy's passed in.
 def _normalizer(a, b, sqrt=math.sqrt):
@@ -330,40 +323,3 @@ def analyze(triple: ContextTriple) -> TransitionAnalysis:
     # Finite without classify's checks: |delta| <= 2 and denom >= 2*sqrt(5e-324).
     lam = delta / denom
     return TransitionAnalysis(delta, lam, _regime(lam))
-
-
-def correspondence_scan(
-    base: ContextTriple,
-    perturbation: tuple[float, float],
-    epsilons: Sequence[float],
-) -> list[CorrespondencePoint]:
-    """Scan the classical limit along a family of shrinking transitions.
-
-    For each ``eps`` the post-transition pair is placed at
-    ``p_j + eps * c_j``; as eps -> 0 the arrangements coincide, delta
-    vanishes linearly (``delta(eps) = -eps * (c1 + c2)`` up to round-off)
-    and the transformation reduces to plain addition.
-
-    ``base`` must carry ``p1``/``p2``.  Perturbed values must stay inside
-    (0, 1]; violations raise :class:`InvalidPerturbedProbability`.  Each
-    point comes from :func:`analyze`, so ``lam`` is None where the perturbed
-    product underflows to zero.
-    """
-    if base.p1 is None or base.p2 is None:
-        raise ValueError("base triple must carry subcontext probabilities p1 and p2")
-    c1, c2 = (float(perturbation[0]), float(perturbation[1]))
-    if not (math.isfinite(c1) and math.isfinite(c2)):
-        raise NonFinite(f"perturbation direction must be finite, got {perturbation!r}")
-    points = []
-    for eps in epsilons:
-        e = float(eps)
-        q1 = base.p1 + e * c1
-        q2 = base.p2 + e * c2
-        for name, q in (("p1", q1), ("p2", q2)):
-            if not (0.0 < q <= 1.0 + ROUND_OFF):
-                raise InvalidPerturbedProbability(
-                    f"perturbed {name} = {q!r} at eps={e!r} leaves (0, 1]"
-                )
-        analysis = analyze(ContextTriple(base.p_s, q1, q2))
-        points.append(CorrespondencePoint(epsilon=e, delta=analysis.delta, lam=analysis.lam))
-    return points

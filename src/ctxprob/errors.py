@@ -25,16 +25,8 @@ class InadmissibleLambda(CtxprobError, ValueError):
     """The coefficient maps outside [0, 1]: no context transition can produce it."""
 
 
-class InvalidPerturbedProbability(CtxprobError, ValueError):
-    """A perturbed subcontext probability left the interval (0, 1]."""
-
-
 class DegenerateRegime(CtxprobError):
     """An operation that needs a phase was handed a degenerate analysis."""
-
-
-class RegimeMismatch(CtxprobError):
-    """The estimated regime differs from the expected one."""
 
 
 class DegenerateVariance(CtxprobError):

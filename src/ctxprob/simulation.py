@@ -36,7 +36,6 @@ from . import amplitudes
 from .calculus import (
     ROUND_OFF,
     ContextTriple,
-    Degenerate,
     Hyperbolic,
     Probability,
     TransitionAnalysis,
@@ -47,7 +46,7 @@ from .calculus import (
 )
 from .data import _INTEGER_BOUND, CONTEXT_LABELS, CountRow, CountTable, _whole, context_probabilities
 from .data import SCHEMA_VERSION, ContextSummary, ReportDocument, Reproducibility, additivity_check
-from .errors import InvalidScenario, RegimeMismatch
+from .errors import InvalidScenario
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -317,21 +316,3 @@ def _report(inputs, point, lambda_interval, regime_stability, additivity, seed, 
     return ReportDocument(SCHEMA_VERSION, inputs, point.delta, point.lam, point.regime,
                           lambda_interval, regime_stability, additivity, wave,
                           Reproducibility(seed, replicates, GENERATOR_NAME))
-
-
-def theta_recovery_error(
-    true_theta: float, report: EstimationReport, expected_kind: str | None = None
-) -> float:
-    """Absolute error of the estimated phase against the generating truth.
-
-    ``expected_kind`` ("trigonometric" or "hyperbolic") pins the regime the
-    truth was generated in; when omitted, any non-degenerate point regime is
-    accepted.  A mismatching (or degenerate) point regime raises
-    :class:`RegimeMismatch` since its phase would not be comparable.
-    """
-    regime = report.point.regime
-    if isinstance(regime, Degenerate):
-        raise RegimeMismatch("point regime is degenerate: no phase was estimated")
-    if expected_kind is not None and regime.kind != expected_kind:
-        raise RegimeMismatch(f"point regime is {regime.kind}, expected {expected_kind}")
-    return abs(regime.theta - float(true_theta))

@@ -17,7 +17,6 @@ from ctxprob.calculus import (
     Hyperbolic,
     Trigonometric,
     analyze,
-    correspondence_scan,
     lambda_range,
     reconstruct_probability,
 )
@@ -132,9 +131,9 @@ def test_criterion_5_hyperbolic_recovery():
 
 
 def test_criterion_6_correspondence_principle():
-    base = ContextTriple(0.5, 0.3, 0.2, p1=0.3, p2=0.2)
-    points = correspondence_scan(base, (0.1, 0.1), [0.4, 0.2, 0.1, 0.05, 0.0])
-    ok = all(abs(p.delta - (-0.2 * p.epsilon)) <= 1e-9 for p in points)
+    epsilons = [0.4, 0.2, 0.1, 0.05, 0.0]
+    points = [analyze(ContextTriple(0.5, 0.3 + e * 0.1, 0.2 + e * 0.1)) for e in epsilons]
+    ok = all(abs(p.delta - (-0.2 * e)) <= 1e-9 for p, e in zip(points, epsilons))
     magnitudes = [abs(p.lam) for p in points]
     ok = ok and all(x > y for x, y in zip(magnitudes, magnitudes[1:]))
     ok = ok and points[-1].lam == 0.0

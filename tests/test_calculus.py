@@ -15,7 +15,6 @@ from ctxprob.calculus import (
     Trigonometric,
     analyze,
     classify,
-    correspondence_scan,
     lambda_range,
     reconstruct_probability,
 )
@@ -23,7 +22,6 @@ from ctxprob.errors import (
     AdditivityViolation,
     DegenerateDenominator,
     InadmissibleLambda,
-    InvalidPerturbedProbability,
     InvalidProbability,
     NonFinite,
 )
@@ -298,6 +296,20 @@ class TestAnalyze:
         assume(result.lam is not None)
         assert result.regime == classify(result.lam)
 
+    @settings(max_examples=50)
+    @given(
+        c=st.floats(min_value=0.01, max_value=0.5),
+        scale=st.floats(min_value=0.1, max_value=1.0),
+    )
+    def test_classical_limit_is_linear_in_eps(self, c, scale):
+        """New subcontexts p_j + eps*c near the old (0.3, 0.2): delta = -2*eps*c, |lambda| shrinks."""
+        epsilons = [scale * x for x in (0.5, 0.25, 0.125)]
+        points = [analyze(ContextTriple(0.5, 0.3 + e * c, 0.2 + e * c)) for e in epsilons]
+        for e, point in zip(epsilons, points):
+            assert point.delta == pytest.approx(-e * 2.0 * c, abs=1e-9)
+        lams = [abs(p.lam) for p in points]
+        assert lams == sorted(lams, reverse=True)
+
 
 class _TrigonometricSubclass(Trigonometric):
     pass
@@ -322,47 +334,3 @@ class TestTransitionAnalysis:
     def test_refuses_what_analyze_cannot_return(self, build, fragment):
         with pytest.raises(ValueError, match=fragment):
             build()
-
-
-class TestCorrespondenceScan:
-    BASE = ContextTriple(0.5, 0.3, 0.2, p1=0.3, p2=0.2)
-
-    def test_zero_epsilon_recovers_additivity(self):
-        (point,) = correspondence_scan(self.BASE, (0.1, 0.1), [0.0])
-        assert point == (0.0, 0.0, 0.0)
-
-    def test_linear_in_epsilon(self):
-        (point,) = correspondence_scan(self.BASE, (0.1, 0.1), [0.5])
-        assert point.delta == pytest.approx(-0.1, abs=1e-12)
-
-    def test_magnitudes_shrink_with_epsilon(self):
-        points = correspondence_scan(self.BASE, (0.1, 0.1), [0.4, 0.2, 0.1])
-        deltas = [abs(p.delta) for p in points]
-        assert deltas == sorted(deltas, reverse=True)
-        assert deltas[-1] > 0.0
-
-    def test_requires_subcontexts(self):
-        with pytest.raises(ValueError):
-            correspondence_scan(ContextTriple(0.5, 0.3, 0.2), (0.1, 0.1), [0.1])
-
-    def test_rejects_escaping_perturbation(self):
-        with pytest.raises(InvalidPerturbedProbability):
-            correspondence_scan(self.BASE, (2.0, 0.1), [0.5])  # p1 + 1.0 > 1
-        with pytest.raises(InvalidPerturbedProbability):
-            correspondence_scan(self.BASE, (-1.0, 0.1), [0.3])  # p1 - 0.3 <= 0
-
-    @settings(max_examples=50)
-    @given(
-        c=st.floats(min_value=0.01, max_value=0.5),
-        scale=st.floats(min_value=0.1, max_value=1.0),
-    )
-    def test_delta_matches_closed_form(self, c, scale):
-        epsilons = [scale * x for x in (0.5, 0.25, 0.125)]
-        top = max(0.3 + e * c for e in epsilons)
-        if top > 1.0:
-            return
-        points = correspondence_scan(self.BASE, (c, c), epsilons)
-        for point in points:
-            assert point.delta == pytest.approx(-point.epsilon * 2.0 * c, abs=1e-9)
-        lams = [abs(p.lam) for p in points]
-        assert lams == sorted(lams, reverse=True)

@@ -1,4 +1,4 @@
-"""The package surface: 61 public names, each the object its home module defines.
+"""The package surface: 56 public names, each the object its home module defines.
 
 ``ctxprob`` lists every public name once and imports its home module on first
 use, so this pin is the check that nothing was dropped, added or rebound.
@@ -13,9 +13,9 @@ import ctxprob
 
 EXPORTS = {
     "calculus": [
-        "ContextTriple", "CorrespondencePoint", "Degenerate", "DegenerateReason", "Hyperbolic",
-        "Probability", "ROUND_OFF", "Regime", "TransitionAnalysis", "Trigonometric", "analyze",
-        "classify", "correspondence_scan", "lambda_range", "reconstruct_probability",
+        "ContextTriple", "Degenerate", "DegenerateReason", "Hyperbolic", "Probability",
+        "ROUND_OFF", "Regime", "TransitionAnalysis", "Trigonometric", "analyze", "classify",
+        "lambda_range", "reconstruct_probability",
     ],
     "amplitudes": [
         "ComplexAmplitude", "SplitComplexAmplitude", "hyper_wave", "trig_wave",
@@ -24,7 +24,7 @@ EXPORTS = {
     "simulation": [
         "DirectScenario", "EstimationReport", "GENERATOR_NAME", "HyperbolicUrnScenario",
         "TwoSlitScenario", "estimate", "report_from_counts", "report_from_triple", "sample_counts",
-        "scenario_truth", "theta_recovery_error",
+        "scenario_truth",
     ],
     "data": [
         "AdditivityCheck", "CONTEXT_LABELS", "COUNTS_HEADER", "ContextSummary", "CountFile",
@@ -34,8 +34,8 @@ EXPORTS = {
     ],
     "errors": [
         "AdditivityViolation", "CtxprobError", "DegenerateDenominator", "DegenerateRegime",
-        "DegenerateVariance", "InadmissibleLambda", "InvalidPerturbedProbability",
-        "InvalidProbability", "InvalidScenario", "NonFinite", "ParseError", "RegimeMismatch",
+        "DegenerateVariance", "InadmissibleLambda", "InvalidProbability", "InvalidScenario",
+        "NonFinite", "ParseError",
     ],
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)
@@ -43,7 +43,7 @@ HOMES = [(name, home) for home, names in EXPORTS.items() for name in names]
 
 
 def test_all_lists_the_pinned_names_once():
-    assert len(NAMES) == 61
+    assert len(NAMES) == 56
     assert sorted(ctxprob.__all__) == NAMES
 
 

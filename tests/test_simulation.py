@@ -13,7 +13,7 @@ from ctxprob.data import (
     CONTEXT_LABELS, CountRow, CountTable, context_probabilities, parse_counts, write_counts,
 )
 from ctxprob import simulation
-from ctxprob.errors import InvalidScenario, RegimeMismatch
+from ctxprob.errors import InvalidScenario
 from ctxprob.simulation import (
     GENERATOR_NAME,
     DirectScenario,
@@ -22,7 +22,6 @@ from ctxprob.simulation import (
     estimate,
     sample_counts,
     scenario_truth,
-    theta_recovery_error,
 )
 
 TWO_SLIT = TwoSlitScenario(math.sqrt(0.3), math.sqrt(0.2), math.pi / 3)
@@ -436,41 +435,6 @@ class TestStreamDefinition:
                 np.random.Philox(np.random.SeedSequence(seed), counter=[0, 0, 0, j])
             )
             assert self._draws(stream(j)) == self._draws(fresh), (seed, j)
-
-
-class TestThetaRecoveryError:
-    def _report(self, p_s, a, b):
-        table = _table(
-            ("S", int(round(p_s * 10**6)), 10**6),
-            ("S1p", int(round(a * 10**6)), 10**6),
-            ("S2p", int(round(b * 10**6)), 10**6),
-        )
-        return estimate(table, replicates=0, seed=0)
-
-    def test_exact_recovery(self):
-        report = self._report(0.744949, 0.3, 0.2)
-        assert theta_recovery_error(report.point.regime.theta, report) == 0.0
-
-    def test_arithmetic(self):
-        report = self._report(0.744949, 0.3, 0.2)
-        error = theta_recovery_error(math.pi / 3, report, expected_kind="trigonometric")
-        assert error == pytest.approx(abs(report.point.regime.theta - math.pi / 3), abs=1e-15)
-        assert error < 1e-4
-
-    def test_hyperbolic_case(self):
-        report = self._report(0.9, 0.1, 0.1)
-        error = theta_recovery_error(1.93, report, expected_kind="hyperbolic")
-        assert error == pytest.approx(abs(math.acosh(3.5) - 1.93), abs=1e-9)
-
-    def test_mismatch_raises(self):
-        report = self._report(0.5, 0.3, 0.2)
-        with pytest.raises(RegimeMismatch):
-            theta_recovery_error(1.0, report, expected_kind="hyperbolic")
-
-    def test_degenerate_raises(self):
-        report = self._report(0.5, 0.0, 0.2)
-        with pytest.raises(RegimeMismatch):
-            theta_recovery_error(1.0, report)
 
 
 # Digest of ``repr(estimate(...))`` over seeded count tables: 3 and 5

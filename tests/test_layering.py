@@ -14,7 +14,8 @@ the report builders' shared assembly, and that every record stores its
 fields once, in its own ``__init__``: no ``__post_init__`` and no
 ``object.__setattr__`` anywhere in the package.  Nor does any module call a
 BLAS-backed numpy routine or use ``@``, which is why ``cli.run`` alone asks
-OpenBLAS for one thread.
+OpenBLAS for one thread.  Every public name is used by another part of the
+package or by the benchmark workloads, so none serves only a demo.
 
 At run time, only sampling and the bootstrap load numpy: ``range``,
 ``sweep`` and direct-mode ``analyze`` run in a fresh interpreter without it.
@@ -315,6 +316,62 @@ def test_records_store_each_field_once():
         if post_inits or setattrs:
             found[path.name] = post_inits, setattrs
     assert found == {}
+
+
+def _loaded_names(source: str) -> set[str]:
+    """Names a module loads, bare or as an attribute, outside the top-level statement defining each.
+
+    Imports and assignment targets store a name rather than load it, so they do not count.
+    """
+    found = set()
+    for statement in ast.parse(source).body:
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            defined = {statement.name}
+        else:  # an assignment defines its targets
+            defined = {node.id for node in ast.walk(statement)
+                       if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        found |= {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(statement)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        } - defined
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, used",
+    [
+        ("point = analyze(triple)", True),
+        ("point = calculus.analyze(triple)", True),
+        ("def f(run=analyze):\n    pass", True),
+        ("from .calculus import analyze", False),
+        ("analyze = None", False),
+        ("def analyze(triple):\n    return analyze(triple.parent)", False),
+        ("analyze = wrap(run)\npoint = analyze(triple)", True),
+        ("analyze = wrap(analyze)", False),
+        ("name = 'analyze'", False),
+    ],
+)
+def test_detector_flags_each_use_form(source, used):
+    assert ("analyze" in _loaded_names(source)) is used
+
+
+def test_every_export_has_a_caller():
+    """Every public name is used by another part of the package or by the benchmark workloads.
+
+    A name that only demos and its own tests use belongs in the demo, not in the package.
+    """
+    workloads = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    used = {
+        alias.name
+        for node in ast.walk(ast.parse(workloads.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "ctxprob" and not node.level
+        for alias in node.names
+    }
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name != "__init__.py":
+            used |= _loaded_names(path.read_text(encoding="utf-8"))
+    assert sorted(set(ctxprob.__all__) - used) == []
 
 
 # The closed-form subcommands never draw, so they must not pay for importing numpy.

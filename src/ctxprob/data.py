@@ -40,7 +40,6 @@ import errno
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -679,15 +678,13 @@ def write_bytes_atomic(path, chunks: Iterable[bytes]) -> None:
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(path) or "."
-    umask = os.umask(0)
-    os.umask(umask)
+    tmp = os.path.join(directory, f".ctxprob-{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ctxprob-")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as e:
         raise OSError(e.errno, e.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as handle:
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
             for chunk in chunks:
                 handle.write(chunk)
             handle.flush()

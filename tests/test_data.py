@@ -824,13 +824,36 @@ class TestAtomicWrite:
         assert leftovers == []
 
     def test_mode_follows_umask(self, tmp_path):
-        target = tmp_path / "counts.csv"
-        previous = os.umask(0o022)
-        try:
-            write_bytes_atomic(target, (b"data\n",))
-        finally:
-            os.umask(previous)
-        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            target = tmp_path / f"counts-{umask:03o}.csv"
+            previous = os.umask(umask)
+            try:
+                write_bytes_atomic(target, (b"data\n",))
+            finally:
+                os.umask(previous)
+            assert stat.S_IMODE(target.stat().st_mode) == mode
+
+    def test_leaves_the_process_umask_alone(self, tmp_path, monkeypatch):
+        def refuse(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        target = tmp_path / "report.json"
+        write_bytes_atomic(target, (b"data\n",))
+        assert target.read_bytes() == b"data\n"
+
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "report.json"
+        write_bytes_atomic(target, (b"first\n",))
+
+        def chunks():
+            yield b"partial\n"
+            raise RuntimeError("chunk source failed")
+
+        with pytest.raises(RuntimeError, match="chunk source failed"):
+            write_bytes_atomic(target, chunks())
+        assert target.read_bytes() == b"first\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 # -- byte-identity gates for the report and count codecs ------------------

@@ -22,7 +22,6 @@ with omega = 2**-1075 / (p1'*p2' - 2**-1075) for a subnormal p1'*p2', else 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import ClassVar, Union
 
 from .calculus import (
@@ -31,18 +30,22 @@ from .calculus import (
     Probability,
     TransitionAnalysis,
     Trigonometric,
+    _Record,
     reconstruct_probability,
 )
 from .errors import DegenerateRegime, NonFinite
 
 
-@dataclass(frozen=True)
-class ComplexAmplitude:
+class ComplexAmplitude(_Record):
     """A complex number split into components; modulus is re**2 + im**2."""
 
     kind: ClassVar[str] = "complex"
     re: float
     im: float
+
+    def __init__(self, re: float, im: float) -> None:
+        fields = self.__dict__
+        fields["re"], fields["im"] = re, im
 
     @property
     def components(self) -> tuple[float, float]:
@@ -53,8 +56,7 @@ class ComplexAmplitude:
         return self.re * self.re + self.im * self.im
 
 
-@dataclass(frozen=True)
-class SplitComplexAmplitude:
+class SplitComplexAmplitude(_Record):
     """A split-complex number ``re + hy*j`` with j**2 = +1.
 
     The modulus form ``re**2 - hy**2`` may be any real; waves built by
@@ -64,6 +66,10 @@ class SplitComplexAmplitude:
     kind: ClassVar[str] = "split-complex"
     re: float
     hy: float
+
+    def __init__(self, re: float, hy: float) -> None:
+        fields = self.__dict__
+        fields["re"], fields["hy"] = re, hy
 
     @property
     def components(self) -> tuple[float, float]:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import ClassVar, Union
 
 from .errors import (
@@ -76,8 +75,37 @@ class Probability(float):
         return f"Probability({float(self)!r})"
 
 
-@dataclass(frozen=True, init=False)
-class ContextTriple:
+class _Record:
+    """Frozen record base: equality, hash, ``repr`` and frozenness over a record's fields.
+
+    ``_fields`` are the annotations other than ``ClassVar``.  A record's own ``__init__``
+    stores each once in ``vars()``, in declaration order, where these methods read them.
+    """
+
+    def __init_subclass__(cls) -> None:  # the annotations are strings (postponed evaluation)
+        cls._fields = tuple(k for k, v in cls.__annotations__.items() if not v.startswith("ClassVar"))
+        cls.__match_args__ = cls._fields
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # loaded only when a record is misused
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class ContextTriple(_Record):
     """Probabilities of one event across the contexts of a single transition.
 
     ``p_s`` is the probability under the pre-transition arrangement,
@@ -117,8 +145,7 @@ class DegenerateReason(enum.Enum):
     PRODUCT_UNDERFLOW = "product-underflow"
 
 
-@dataclass(frozen=True, init=False)
-class Trigonometric:
+class Trigonometric(_Record):
     """``|lambda| <= 1``: the coefficient is cos(theta), theta in [0, pi]."""
 
     kind: ClassVar[str] = "trigonometric"
@@ -134,8 +161,7 @@ class Trigonometric:
 _MAX_THETA = math.acosh(math.nextafter(math.inf, 0.0))
 
 
-@dataclass(frozen=True, init=False)
-class Hyperbolic:
+class Hyperbolic(_Record):
     """``|lambda| > 1``: the coefficient is sign * cosh(theta), theta > 0.
 
     theta = 0 would mean |lambda| = 1, which the boundary rule assigns to
@@ -156,8 +182,7 @@ class Hyperbolic:
         fields["sign"], fields["theta"] = int(sign), float(theta)
 
 
-@dataclass(frozen=True, init=False)
-class Degenerate:
+class Degenerate(_Record):
     """lambda is undefined (zero reference probability); only delta is meaningful."""
 
     kind: ClassVar[str] = "degenerate"
@@ -172,8 +197,7 @@ class Degenerate:
 Regime = Union[Trigonometric, Hyperbolic, Degenerate]
 
 
-@dataclass(frozen=True, init=False)
-class TransitionAnalysis:
+class TransitionAnalysis(_Record):
     """Perturbation, normalized coefficient and regime of one transition.
 
     The one gate for a transition, where ``lam`` is None exactly for a

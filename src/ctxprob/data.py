@@ -34,19 +34,17 @@ in its own ``__init__`` and stores each once, in that order; it stays frozen.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import errno
 import json
 import math
 import os
-from dataclasses import dataclass
 from typing import Iterable
 
 from .amplitudes import ComplexAmplitude, SplitComplexAmplitude
 from .calculus import (
     ContextTriple, Degenerate, DegenerateReason, Hyperbolic, Regime, TransitionAnalysis,
-    Trigonometric,
+    Trigonometric, _Record,
 )
 from .errors import DegenerateVariance, ParseError
 
@@ -95,8 +93,7 @@ def _by_label(items: dict, noun: str) -> dict:
     return {label: items[label] for label in CONTEXT_LABELS if label in items}
 
 
-@dataclass(frozen=True, init=False)
-class CountRow:
+class CountRow(_Record):
     """Outcome counts of one context's run: whole successes in [0, trials], trials in [1, 2**63)."""
 
     label: str
@@ -116,8 +113,7 @@ class CountRow:
         return self.successes / self.trials
 
 
-@dataclass(frozen=True, init=False)
-class CountTable:
+class CountTable(_Record):
     """Per-context counts of one experiment; rows are kept in canonical order.
 
     Labels must be unique and include at least S, S1p and S2p.
@@ -172,21 +168,23 @@ def _check_size(data: bytes | str, source: str) -> None:
                          kind=ParseErrorKind.INPUT_TOO_LARGE)
 
 
-@dataclass(frozen=True)
-class CountFile:
+class CountFile(_Record):
     """A parsed count table plus where each row came from."""
 
     table: CountTable
     source: str
     line_numbers: dict[str, int]
 
+    def __init__(self, table, source, line_numbers) -> None:
+        fields = self.__dict__
+        fields["table"], fields["source"], fields["line_numbers"] = table, source, line_numbers
+
 
 # |z| at or below which additivity_check calls the decomposition consistent.
 _CONSISTENT_Z = 3.0
 
 
-@dataclass(frozen=True, init=False)
-class AdditivityCheck:
+class AdditivityCheck(_Record):
     """z-statistic for the pre-transition additive decomposition; consistent when |z| <= 3."""
 
     z_statistic: float
@@ -321,8 +319,7 @@ def additivity_check(counts: CountTable) -> AdditivityCheck | None:
     return AdditivityCheck(z_statistic=z, consistent=abs(z) <= _CONSISTENT_Z)
 
 
-@dataclass(frozen=True, init=False)
-class ContextSummary:
+class ContextSummary(_Record):
     """One context's empirical summary inside a report."""
 
     p_hat: float
@@ -362,8 +359,7 @@ def WaveSummary(kind, components) -> ComplexAmplitude | SplitComplexAmplitude:
     )
 
 
-@dataclass(frozen=True, init=False)
-class Reproducibility:
+class Reproducibility(_Record):
     """Seed, replicate count and generator behind the randomized parts of a report.
 
     Regenerating a counts-file report also needs the ``--confidence`` it was
@@ -387,8 +383,7 @@ class Reproducibility:
 _WAVES = {Trigonometric: ComplexAmplitude, Hyperbolic: SplitComplexAmplitude, Degenerate: None}
 
 
-@dataclass(frozen=True, init=False)
-class ReportDocument:
+class ReportDocument(_Record):
     """Complete analysis report; serializes canonically via :func:`write_report`."""
 
     schema_version: str
@@ -555,8 +550,7 @@ _FIELDS = {
 
 def _layout(cls, *tag: str) -> tuple[tuple, frozenset]:
     """``cls``'s fields as (name, reader, nullable), in order, and the keys of its object."""
-    names = tuple(f.name for f in dataclasses.fields(cls))
-    return tuple((name, *_FIELDS[name]) for name in names), frozenset(tag + names)
+    return tuple((name, *_FIELDS[name]) for name in cls._fields), frozenset(tag + cls._fields)
 
 
 _RECORDS = {cls: _layout(cls) for cls in (ContextSummary, Reproducibility)}

@@ -29,7 +29,6 @@ without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import amplitudes
@@ -39,6 +38,7 @@ from .calculus import (
     Hyperbolic,
     Probability,
     TransitionAnalysis,
+    _Record,
     _delta_and_normalizer,
     _phase,
     _same_regime,
@@ -133,8 +133,7 @@ def HyperbolicUrnScenario(p1: float, p2: float, p1_prime: float, p2_prime: float
     return truth
 
 
-@dataclass(frozen=True)
-class EstimationReport:
+class EstimationReport(_Record):
     """Point analysis plus bootstrap uncertainty for one count table.
 
     ``lambda_interval`` and the per-context ``context_intervals`` are
@@ -154,6 +153,14 @@ class EstimationReport:
     seed: int
     replicates: int
     confidence: float
+
+    def __init__(self, point, lambda_interval, context_intervals, regime_stability, theta_std,
+                 seed, replicates, confidence) -> None:
+        fields = self.__dict__
+        fields["point"], fields["lambda_interval"] = point, lambda_interval
+        fields["context_intervals"], fields["regime_stability"] = context_intervals, regime_stability
+        fields["theta_std"], fields["seed"] = theta_std, seed
+        fields["replicates"], fields["confidence"] = replicates, confidence
 
 
 def scenario_truth(scenario: ContextTriple) -> ContextTriple:

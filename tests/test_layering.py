@@ -12,13 +12,16 @@ lambda's normalizer ``2.0 * sqrt(a * b)`` and its boundary test
 ``calculus``, that an analysis becomes a ``ReportDocument`` in one place,
 the report builders' shared assembly, and that every record stores its
 fields once, in its own ``__init__``: no ``__post_init__`` and no
-``object.__setattr__`` anywhere in the package.  Nor does any module call a
-BLAS-backed numpy routine or use ``@``, which is why ``cli.run`` alone asks
-OpenBLAS for one thread.  Every public name is used by another part of the
-package or by the benchmark workloads, so none serves only a demo.
+``object.__setattr__`` anywhere in the package.  No record is a dataclass:
+no module applies ``@dataclass`` or imports ``dataclasses`` at import time.
+Nor does any module call a BLAS-backed numpy routine or use ``@``, which is
+why ``cli.run`` alone asks OpenBLAS for one thread.  Every public name is
+used by another part of the package or by the benchmark workloads, so none
+serves only a demo.
 
 At run time, only sampling and the bootstrap load numpy: ``range``,
-``sweep`` and direct-mode ``analyze`` run in a fresh interpreter without it.
+``sweep`` and direct-mode ``analyze`` run in a fresh interpreter without it,
+and without ``dataclasses`` or ``inspect``; no subcommand loads ``dataclasses``.
 ``import ctxprob`` alone loads no submodule, and ``range`` and ``sweep`` load
 only the calculus layer.
 """
@@ -318,6 +321,64 @@ def test_records_store_each_field_once():
     assert found == {}
 
 
+def _dataclass_uses(source: str) -> tuple[list[int], list[int]]:
+    """Lines of every ``dataclass`` decorator and ``dataclasses`` import, and of the allowed ones.
+
+    The one allowed form is a ``from dataclasses import FrozenInstanceError`` inside
+    a function, which loads ``dataclasses`` only when it runs.
+    """
+    tree = ast.parse(source)
+    in_function = {id(node) for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+                   for node in ast.walk(function)}
+    uses, allowed = [], []
+    for node in ast.walk(tree):
+        for decorator in getattr(node, "decorator_list", ()):
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                uses.append(decorator.lineno)
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            frozen_error = [alias.name for alias in node.names] == ["FrozenInstanceError"]
+            (allowed if frozen_error and id(node) in in_function else uses).append(node.lineno)
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names):
+            uses.append(node.lineno)
+    return sorted(uses), allowed
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("@dataclass\nclass A:\n    x: int", ([1], [])),
+        ("@dataclass(frozen=True)\nclass A:\n    x: int", ([1], [])),
+        ("@dataclasses.dataclass\nclass A:\n    x: int", ([1], [])),
+        ("@dataclasses.dataclass(frozen=True, init=False)\nclass A:\n    x: int", ([1], [])),
+        ("import dataclasses", ([1], [])),
+        ("from dataclasses import dataclass", ([1], [])),
+        ("from dataclasses import FrozenInstanceError", ([1], [])),
+        ("def f():\n    from dataclasses import fields", ([2], [])),
+        ("def f():\n    import dataclasses", ([2], [])),
+        ("class A:\n    def f(self):\n        from dataclasses import FrozenInstanceError", ([], [3])),
+    ],
+)
+def test_detector_flags_each_dataclass_form(source, found):
+    assert _dataclass_uses(source) == found
+
+
+def test_no_dataclass():
+    """No record is a dataclass: importing ctxprob compiles no generated method.
+
+    The one ``dataclasses`` reference is the frozen error that ``calculus._Record``
+    imports when a record is assigned to or deleted from.
+    """
+    found, allowed = {}, []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        uses, local = _dataclass_uses(path.read_text(encoding="utf-8"))
+        if uses:
+            found[path.name] = uses
+        allowed += [(path.name, _inside(calculus._Record, line)) for line in local]
+    assert found == {}
+    assert allowed == [("calculus.py", True)] * 2, allowed
+
+
 def _loaded_names(source: str) -> set[str]:
     """Names a module loads, bare or as an attribute, outside the top-level statement defining each.
 
@@ -374,13 +435,16 @@ def test_every_export_has_a_caller():
     assert sorted(set(ctxprob.__all__) - used) == []
 
 
-# The closed-form subcommands never draw, so they must not pay for importing numpy.
+# The closed-form subcommands never draw, so they must not pay for importing numpy;
+# no subcommand pays for dataclasses.
 _PROBE = """
 import sys
 from ctxprob import cli
 code = cli.main(sys.argv[1:])
 print(*sorted(m for m in sys.modules if m.partition(".")[0] == "ctxprob"), file=sys.stderr)
 print("numpy-loaded" if "numpy" in sys.modules else "numpy-absent", code, file=sys.stderr)
+print(*(m + ("-loaded" if m in sys.modules else "-absent") for m in ("dataclasses", "inspect")),
+      file=sys.stderr)
 """
 
 
@@ -399,7 +463,7 @@ def _probe(argv: list[str], source: str = _PROBE) -> list[str]:
 
 def _numpy_after_main(argv: list[str]) -> str:
     """Run ``cli.main(argv)`` in a fresh interpreter; report whether numpy got loaded."""
-    return _probe(argv)[-1]
+    return _probe(argv)[-2]
 
 
 def test_import_ctxprob_loads_no_submodule():
@@ -418,7 +482,7 @@ _CLOSED_FORM = {
 
 @pytest.mark.parametrize("name", ["range", "sweep"])
 def test_closed_form_subcommands_load_only_the_calculus(name):
-    loaded, numpy = _probe(_CLOSED_FORM[name])[-2:]
+    loaded, numpy = _probe(_CLOSED_FORM[name])[-3:-1]
     assert loaded.split() == ["ctxprob", "ctxprob.calculus", "ctxprob.cli", "ctxprob.errors"]
     assert numpy == "numpy-absent 0"
 
@@ -428,12 +492,28 @@ def test_closed_form_subcommands_never_import_numpy(name):
     assert _numpy_after_main(_CLOSED_FORM[name]) == "numpy-absent 0"
 
 
+_SIMULATE = ["simulate", "direct", "--p-s", "0.9", "--p1p", "0.1", "--p2p", "0.1", "--trials", "100"]
+_COUNTS = "context,successes,trials\nS,900,1000\nS1p,100,1000\nS2p,100,1000\n"
+
+
 def test_simulate_imports_numpy():
-    argv = ["simulate", "direct", "--p-s", "0.9", "--p1p", "0.1", "--p2p", "0.1", "--trials", "100"]
-    assert _numpy_after_main(argv) == "numpy-loaded 0"
+    assert _numpy_after_main(_SIMULATE) == "numpy-loaded 0"
 
 
 def test_analyze_of_counts_imports_numpy(tmp_path):
     counts = tmp_path / "counts.csv"
-    counts.write_text("context,successes,trials\nS,900,1000\nS1p,100,1000\nS2p,100,1000\n")
+    counts.write_text(_COUNTS)
     assert _numpy_after_main(["analyze", str(counts), "--replicates", "10"]) == "numpy-loaded 0"
+
+
+@pytest.mark.parametrize("name", [*_CLOSED_FORM, "analyze-counts", "simulate"])
+def test_no_subcommand_loads_dataclasses(name, tmp_path):
+    """No subcommand loads dataclasses, nor inspect unless numpy, which loads it itself, comes."""
+    counts = tmp_path / "counts.csv"
+    counts.write_text(_COUNTS)
+    argv = {**_CLOSED_FORM, "simulate": _SIMULATE,
+            "analyze-counts": ["analyze", str(counts), "--replicates", "10"]}[name]
+    dataclasses, inspect_ = _probe(argv)[-1].split()
+    assert dataclasses == "dataclasses-absent"
+    if name in _CLOSED_FORM:
+        assert inspect_ == "inspect-absent"

@@ -30,6 +30,7 @@ from .calculus import (
     Probability,
     TransitionAnalysis,
     Trigonometric,
+    _MAX_THETA,
     _Record,
     reconstruct_probability,
 )
@@ -112,8 +113,8 @@ def hyper_wave(p1_prime, p2_prime, theta: float, sign: int) -> SplitComplexAmpli
     a = Probability(p1_prime, "p1_prime")
     b = Probability(p2_prime, "p2_prime")
     t = float(theta)
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise NonFinite(f"hyperbolic phase must be finite and >= 0, got {theta!r}")
+    if not (0.0 <= t <= _MAX_THETA):  # beyond it cosh(t) overflows
+        raise NonFinite(f"hyperbolic phase must lie in [0, {_MAX_THETA!r}], got {theta!r}")
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     ch = math.cosh(t)

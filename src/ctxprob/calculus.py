@@ -274,14 +274,9 @@ def classify(lam: float) -> Regime:
     x = float(lam)
     if not math.isfinite(x):
         raise NonFinite(f"lambda must be finite, got {lam!r}")
-    return _regime(x)
-
-
-def _regime(lam: float) -> Regime:
-    """The regime of a finite float ``lam``, as :func:`classify` describes it."""
-    if _same_regime(Trigonometric, lam):
-        return Trigonometric(_phase(Trigonometric, lam))
-    return Hyperbolic(1 if lam > 0.0 else -1, _phase(Hyperbolic, lam))
+    if _same_regime(Trigonometric, x):
+        return Trigonometric(_phase(Trigonometric, x))
+    return Hyperbolic(1 if x > 0.0 else -1, _phase(Hyperbolic, x))
 
 
 def reconstruct_probability(p1_prime, p2_prime, lam: float) -> Probability:
@@ -344,6 +339,5 @@ def analyze(triple: ContextTriple) -> TransitionAnalysis:
         else:
             reason = DegenerateReason.PRODUCT_UNDERFLOW
         return TransitionAnalysis(delta=delta, lam=None, regime=Degenerate(reason))
-    # Finite without classify's checks: |delta| <= 2 and denom >= 2*sqrt(5e-324).
     lam = delta / denom
-    return TransitionAnalysis(delta, lam, _regime(lam))
+    return TransitionAnalysis(delta, lam, classify(lam))

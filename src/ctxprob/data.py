@@ -491,8 +491,6 @@ def write_report(doc: ReportDocument) -> bytes:
 
 
 def _read_real(value, name: str, or_null: str = "") -> float:
-    if type(value) is float and math.isfinite(value):
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number{or_null}, got {value!r}")
     try:

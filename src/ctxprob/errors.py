@@ -2,7 +2,11 @@
 
 
 class CtxprobError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class of the domain errors: well-formed input that the package cannot accept.
+
+    A malformed argument, such as a negative replicate count or a sign other than +1 or -1,
+    is a plain ``ValueError``, which the command line rules out before it calls.
+    """
 
 
 class InvalidProbability(CtxprobError, ValueError):

@@ -201,19 +201,6 @@ def _linear_quantiles(sorted_values: np.ndarray, levels: tuple[float, ...]) -> l
     return values
 
 
-def _sample_std(values: np.ndarray) -> float:
-    """``np.std(values, ddof=1)`` of a 1-D float array of two or more values, bit for bit.
-
-    The two ``np.add.reduce`` passes numpy's ``_var`` makes, the mean and then
-    the squared deviations, without its keyword and shape handling.
-    """
-    import numpy as np
-
-    n = values.size
-    deviations = values - np.add.reduce(values) / n
-    return math.sqrt(np.add.reduce(deviations * deviations) / (n - 1))
-
-
 def estimate(
     counts: CountTable,
     replicates: int = 1000,
@@ -281,7 +268,7 @@ def estimate(
             if match.size >= 2:
                 # The mask keeps each value in its phase's domain.  numpy's phases, not
                 # math's: theta_std is hashed, and nothing makes the two agree bit for bit.
-                theta_std = _sample_std(_phase(point.regime, match, np.arccos, np.arccosh))
+                theta_std = float(np.std(_phase(point.regime, match, np.arccos, np.arccosh), ddof=1))
 
     return EstimationReport(
         point=point,

@@ -18,12 +18,13 @@ from ctxprob.calculus import (
     ROUND_OFF,
     ContextTriple,
     Hyperbolic,
+    _MAX_THETA,
     analyze,
     lambda_range,
     reconstruct_probability,
 )
 from ctxprob.data import CountRow, CountTable
-from ctxprob.errors import DegenerateRegime, InadmissibleLambda
+from ctxprob.errors import CtxprobError, DegenerateRegime, InadmissibleLambda
 from ctxprob.simulation import report_from_counts
 
 positive_probs = st.floats(min_value=0.01, max_value=1.0)
@@ -121,6 +122,23 @@ class TestHyperWave:
         assert wave.hyperbolic_modulus == pytest.approx(
             float(reconstruct_probability(a, b, lam)), abs=1e-9
         )
+
+    @given(
+        a=st.floats(min_value=0.0, max_value=1.0),
+        b=st.floats(min_value=0.0, max_value=1.0),
+        theta=st.floats(min_value=0.0, max_value=1e308),
+        sign=st.sampled_from([-1, 1]),
+    )
+    @example(a=0.1, b=0.1, theta=800.0, sign=1)
+    @example(a=0.0, b=0.0, theta=800.0, sign=-1)
+    @example(a=0.0, b=0.5, theta=_MAX_THETA, sign=1)  # cosh is the largest finite float
+    @example(a=0.0, b=0.5, theta=math.nextafter(_MAX_THETA, math.inf), sign=-1)  # cosh overflows
+    def test_any_phase_gives_a_finite_wave_or_a_domain_error(self, a, b, theta, sign):
+        try:
+            wave = hyper_wave(a, b, theta, sign)
+        except CtxprobError:
+            return
+        assert all(map(math.isfinite, wave.components))
 
 
 class TestSplitComplexModulus:

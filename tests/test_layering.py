@@ -23,10 +23,13 @@ At run time, only sampling and the bootstrap load numpy: ``range``,
 ``sweep`` and direct-mode ``analyze`` run in a fresh interpreter without it,
 and without ``dataclasses`` or ``inspect``; no subcommand loads ``dataclasses``.
 ``import ctxprob`` alone loads no submodule, and ``range`` and ``sweep`` load
-only the calculus layer.
+only the calculus layer.  Each subcommand runs in one fresh interpreter, whose
+report every assertion on it shares; ``test_print_footprint`` prints that
+report as one ``FOOTPRINT`` line per subcommand.
 """
 
 import ast
+import functools
 import inspect
 import os
 import subprocess
@@ -461,11 +464,6 @@ def _probe(argv: list[str], source: str = _PROBE) -> list[str]:
     return done.stderr.splitlines()
 
 
-def _numpy_after_main(argv: list[str]) -> str:
-    """Run ``cli.main(argv)`` in a fresh interpreter; report whether numpy got loaded."""
-    return _probe(argv)[-2]
-
-
 def test_import_ctxprob_loads_no_submodule():
     source = ("import sys, ctxprob\n"
               "print(*(m for m in sys.modules if 'ctxprob' in m), file=sys.stderr)")
@@ -478,42 +476,55 @@ _CLOSED_FORM = {
               "--steps", "11"],
     "analyze-direct": ["analyze", "--p-s", "0.9", "--p1p", "0.1", "--p2p", "0.1"],
 }
+_SIMULATE = ["simulate", "direct", "--p-s", "0.9", "--p1p", "0.1", "--p2p", "0.1", "--trials", "100"]
+_COUNTS = "context,successes,trials\nS,900,1000\nS1p,100,1000\nS2p,100,1000\n"
+_SUBCOMMANDS = [*_CLOSED_FORM, "analyze-counts", "simulate"]
+
+
+@pytest.fixture(scope="module")
+def footprint(tmp_path_factory):
+    """The probe's stderr lines for a subcommand, from one fresh interpreter per subcommand."""
+    counts = tmp_path_factory.mktemp("layering") / "counts.csv"
+    counts.write_text(_COUNTS)
+    argv = {**_CLOSED_FORM, "simulate": _SIMULATE,
+            "analyze-counts": ["analyze", str(counts), "--replicates", "10"]}
+    return functools.cache(lambda name: _probe(argv[name]))
+
+
+@pytest.mark.parametrize("name", _SUBCOMMANDS)
+def test_print_footprint(name, footprint):
+    """One ``FOOTPRINT`` line per subcommand, which CI's summary greps from the ``-rP`` log."""
+    modules, numpy, loaded = footprint(name)[-3:]
+    numpy, code = numpy.split()
+    states = ", ".join(state.replace("-", " ") for state in (numpy, *loaded.split()))
+    print(f"FOOTPRINT {name}: exit {code}, {states}: {modules}")
+    assert code == "0"
 
 
 @pytest.mark.parametrize("name", ["range", "sweep"])
-def test_closed_form_subcommands_load_only_the_calculus(name):
-    loaded, numpy = _probe(_CLOSED_FORM[name])[-3:-1]
+def test_closed_form_subcommands_load_only_the_calculus(name, footprint):
+    loaded, numpy = footprint(name)[-3:-1]
     assert loaded.split() == ["ctxprob", "ctxprob.calculus", "ctxprob.cli", "ctxprob.errors"]
     assert numpy == "numpy-absent 0"
 
 
 @pytest.mark.parametrize("name", list(_CLOSED_FORM))
-def test_closed_form_subcommands_never_import_numpy(name):
-    assert _numpy_after_main(_CLOSED_FORM[name]) == "numpy-absent 0"
+def test_closed_form_subcommands_never_import_numpy(name, footprint):
+    assert footprint(name)[-2] == "numpy-absent 0"
 
 
-_SIMULATE = ["simulate", "direct", "--p-s", "0.9", "--p1p", "0.1", "--p2p", "0.1", "--trials", "100"]
-_COUNTS = "context,successes,trials\nS,900,1000\nS1p,100,1000\nS2p,100,1000\n"
+def test_simulate_imports_numpy(footprint):
+    assert footprint("simulate")[-2] == "numpy-loaded 0"
 
 
-def test_simulate_imports_numpy():
-    assert _numpy_after_main(_SIMULATE) == "numpy-loaded 0"
+def test_analyze_of_counts_imports_numpy(footprint):
+    assert footprint("analyze-counts")[-2] == "numpy-loaded 0"
 
 
-def test_analyze_of_counts_imports_numpy(tmp_path):
-    counts = tmp_path / "counts.csv"
-    counts.write_text(_COUNTS)
-    assert _numpy_after_main(["analyze", str(counts), "--replicates", "10"]) == "numpy-loaded 0"
-
-
-@pytest.mark.parametrize("name", [*_CLOSED_FORM, "analyze-counts", "simulate"])
-def test_no_subcommand_loads_dataclasses(name, tmp_path):
+@pytest.mark.parametrize("name", _SUBCOMMANDS)
+def test_no_subcommand_loads_dataclasses(name, footprint):
     """No subcommand loads dataclasses, nor inspect unless numpy, which loads it itself, comes."""
-    counts = tmp_path / "counts.csv"
-    counts.write_text(_COUNTS)
-    argv = {**_CLOSED_FORM, "simulate": _SIMULATE,
-            "analyze-counts": ["analyze", str(counts), "--replicates", "10"]}[name]
-    dataclasses, inspect_ = _probe(argv)[-1].split()
+    dataclasses, inspect_ = footprint(name)[-1].split()
     assert dataclasses == "dataclasses-absent"
     if name in _CLOSED_FORM:
         assert inspect_ == "inspect-absent"
